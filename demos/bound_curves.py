@@ -17,16 +17,8 @@ The same sweep is available from the command line:
 
 import argparse
 
-from sumrank import (
-    CodeParams,
-    gv_asymptotic_rate,
-    gv_max_k,
-    gv_simplified_max_k,
-    singleton_max_k,
-    sp_asymptotic_rate,
-    sp_max_k,
-    sp_simplified_max_k,
-)
+from sumrank import CodeParams
+from sumrank.cli import curve_rows
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--full-scale", action="store_true",
@@ -41,32 +33,22 @@ else:
     bounded = CodeParams(q=2, m=16, eta=8, ell=16)
     growing = CodeParams(q=16, m=8, eta=8, ell=8)
 
+
+def _nan(cell):
+    return float("nan") if cell == "" else cell
+
+
 for label, params, asym_mode in (
     ("bounded block size", bounded, "blocks"),
     ("growing block size", growing, "xi"),
 ):
-    n, top = params.n, params.ell * params.mu
-    xi = params.m / params.eta
     print(f"\n== {label}: q={params.q} m={params.m} eta={params.eta} "
-          f"ell={params.ell} (n={n}) ==")
+          f"ell={params.ell} (n={params.n}) ==")
     print(f"{'delta':>6} {'d':>5} {'single':>7} {'sp':>7} {'sp~':>7} {'sp_asy':>7} "
           f"{'gv':>7} {'gv~':>7} {'gv_asy':>7}")
-    for j in range(1, args.grid + 1):
-        delta = j / args.grid
-        d = min(max(int(delta * n + 0.5), 1), top)
-        if asym_mode == "xi":
-            sp_a = sp_asymptotic_rate(delta, "xi", xi=xi)
-            gv_a = gv_asymptotic_rate(delta, "xi", xi=xi)
-        else:
-            sp_a = sp_asymptotic_rate(delta, "blocks", params=params)
-            gv_a = gv_asymptotic_rate(delta, "finite", params=params) if delta * n >= 2 else float("nan")
-        gv_s = gv_simplified_max_k(params, d) / n if d > 2 else float("nan")
-        print(f"{delta:6.2f} {d:5d} "
-              f"{singleton_max_k(params, d) / n:7.3f} "
-              f"{sp_max_k(params, d) / n:7.3f} "
-              f"{sp_simplified_max_k(params, d) / n:7.3f} "
-              f"{max(0.0, sp_a):7.3f} "
-              f"{gv_max_k(params, d) / n:7.3f} "
-              f"{gv_s:7.3f} "
-              f"{max(0.0, gv_a):7.3f}")
+    for row in curve_rows(params, args.grid, asym_mode):
+        delta, d, single, sp, sp_s, _, gv, gv_s, _, sp_a, gv_a = row
+        print(f"{delta:6.2f} {d:5d} {single:7.3f} {sp:7.3f} {sp_s:7.3f} "
+              f"{max(0.0, sp_a):7.3f} {gv:7.3f} {_nan(gv_s):7.3f} "
+              f"{max(0.0, _nan(gv_a)):7.3f}")
 print("\n(sp~/gv~ are the simplified bounds; *_asy the asymptotic forms, clamped at 0)")

@@ -69,22 +69,25 @@ def singleton_max_k(params: CodeParams, d: int) -> int:
 # ---------------------------------------------------------------------------
 # sphere-packing
 
-def sp_holds(params: CodeParams, k: int, d: int) -> bool:
-    """Exact sphere-packing feasibility:
-    q^{m k} * ball((d-1)//2) <= q^{m n}."""
-    _check_k(params, k)
-    _check_d(params, d)
-    ball = volume_table(params).ball((d - 1) // 2)
-    return params.q ** (params.m * k) * ball <= params.space_size
-
-
-def sp_max_k(params: CodeParams, d: int) -> int:
-    """Largest k passing the exact sphere-packing bound; 0 if none."""
+def _sp_pred(params: CodeParams, d: int):
+    """The exact sphere-packing inequality at distance d, as a predicate of k."""
     _check_d(params, d)
     ball = volume_table(params).ball((d - 1) // 2)
     space = params.space_size
     q_m = params.q**params.m
-    return _largest_k(lambda k: q_m**k * ball <= space, params.n)
+    return lambda k: q_m**k * ball <= space
+
+
+def sp_holds(params: CodeParams, k: int, d: int) -> bool:
+    """Exact sphere-packing feasibility:
+    q^{m k} * ball((d-1)//2) <= q^{m n}."""
+    _check_k(params, k)
+    return _sp_pred(params, d)(k)
+
+
+def sp_max_k(params: CodeParams, d: int) -> int:
+    """Largest k passing the exact sphere-packing bound; 0 if none."""
+    return _largest_k(_sp_pred(params, d), params.n)
 
 
 def sp_simplified_holds(params: CodeParams, k: int, d: int) -> bool:
@@ -161,31 +164,38 @@ def sp_asymptotic_rate(
 # ---------------------------------------------------------------------------
 # Gilbert-Varshamov
 
-def gv_holds(params: CodeParams, k: int, d: int) -> bool:
-    """Exact Gilbert-Varshamov existence condition:
-    q^{m (k-1)} * ball(d-1) < q^{m n}."""
-    _check_k(params, k)
-    _check_d(params, d)
-    ball = volume_table(params).ball(d - 1)
-    return params.q ** (params.m * (k - 1)) * ball < params.space_size
-
-
-def gv_max_k(params: CodeParams, d: int) -> int:
-    """Largest k guaranteed to exist by the exact GV bound; 0 if none."""
+def _gv_pred(params: CodeParams, d: int):
+    """The exact GV inequality at distance d, as a predicate of k."""
     _check_d(params, d)
     ball = volume_table(params).ball(d - 1)
     space = params.space_size
     q_m = params.q**params.m
-    return _largest_k(lambda k: q_m ** (k - 1) * ball < space, params.n)
+    return lambda k: q_m ** (k - 1) * ball < space
+
+
+def gv_holds(params: CodeParams, k: int, d: int) -> bool:
+    """Exact Gilbert-Varshamov existence condition:
+    q^{m (k-1)} * ball(d-1) < q^{m n}."""
+    _check_k(params, k)
+    return _gv_pred(params, d)(k)
+
+
+def gv_max_k(params: CodeParams, d: int) -> int:
+    """Largest k guaranteed to exist by the exact GV bound; 0 if none."""
+    return _largest_k(_gv_pred(params, d), params.n)
+
+
+def _check_gv_simplified_d(params: CodeParams, d: int):
+    if d <= 2:
+        raise ValueError(f"simplified GV bound needs d > 2, got d={d}")
+    _check_d(params, d)
 
 
 def gv_simplified_holds(params: CodeParams, k: int, d: int) -> bool:
     """Simplified GV condition (requires d > 2), with the ball replaced by
     the upper bound (d-1) C(ell+d-2, ell-1) gamma_q^ell q^{(d-1)(m+eta-(d-1)/ell)}."""
     _check_k(params, k)
-    if d <= 2:
-        raise ValueError(f"simplified GV bound needs d > 2, got d={d}")
-    _check_d(params, d)
+    _check_gv_simplified_d(params, d)
     return _gv_simplified_ineq(params, k, d)
 
 
@@ -204,9 +214,7 @@ def _gv_simplified_ineq(params: CodeParams, k: int, d: int) -> bool:
 def gv_simplified_max_k(params: CodeParams, d: int) -> int:
     """Largest k satisfying the simplified GV condition; 0 if none.
     Always at most gv_max_k since the ball is over-estimated."""
-    if d <= 2:
-        raise ValueError(f"simplified GV bound needs d > 2, got d={d}")
-    _check_d(params, d)
+    _check_gv_simplified_d(params, d)
     return _largest_k(lambda k: _gv_simplified_ineq(params, k, d), params.n)
 
 

@@ -31,8 +31,9 @@ from .bounds import (
     sp_max_k,
     sp_simplified_max_k,
 )
-from .codes import is_msrd, min_distance_bruteforce, monte_carlo
+from .codes import ResourceLimitError, is_msrd, min_distance_bruteforce, monte_carlo
 from .genericity import (
+    _clamp01,
     min_extension_degree,
     msrd_prob_bounds_BR,
     msrd_prob_lb_A,
@@ -40,11 +41,7 @@ from .genericity import (
 )
 from .volumes import CodeParams, volume_table
 
-__all__ = ["main", "run"]
-
-
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
+__all__ = ["curve_rows", "main", "run"]
 
 
 def _params_from(args, parser) -> CodeParams:
@@ -62,10 +59,7 @@ def _params_from(args, parser) -> CodeParams:
         ell = n // eta
     elif n is not None and n != eta * ell:
         parser.error(f"--n {n} != --eta*--ell = {eta * ell}")
-    try:
-        return CodeParams(q=args.q, m=args.m, eta=eta, ell=ell)
-    except ValueError as exc:
-        parser.error(str(exc))
+    return CodeParams(q=args.q, m=args.m, eta=eta, ell=ell)
 
 
 def _add_param_flags(sub, need_m: bool = True):
@@ -83,8 +77,7 @@ def _add_output_flags(sub):
 
 
 def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def _round_half_up(x: float) -> int:
@@ -108,16 +101,13 @@ def _cmd_volume(args, parser):
 def _cmd_bounds(args, parser):
     params = _params_from(args, parser)
     d = args.d
-    if not 1 <= d <= params.ell * params.mu:
-        parser.error(f"--d {d} outside [1, {params.ell * params.mu}]")
-    gv_simpl = gv_simplified_max_k(params, d) if d > 2 else ""
     row = [
         params.q, params.m, params.eta, params.ell, params.n, d,
         singleton_max_k(params, d),
         sp_max_k(params, d),
         sp_simplified_max_k(params, d),
         gv_max_k(params, d),
-        gv_simpl,
+        gv_simplified_max_k(params, d) if d > 2 else "",
     ]
     header = [
         "q", "m", "eta", "ell", "n", "d",
@@ -135,23 +125,19 @@ _CURVE_HEADER = [
 ]
 
 
-def _cmd_curve(args, parser):
-    params = _params_from(args, parser)
-    if args.grid < 1:
-        parser.error("--grid must be >= 1")
+def curve_rows(params: CodeParams, grid: int, asym_mode: str) -> list[list]:
+    """The rows of the curve-sp-gv table (columns as in its CSV header), one
+    per delta = j/grid, j = 1..grid.  asym_mode "xi" takes the growing-block
+    limits (xi = m/eta), "blocks" the many-blocks SP limit and the finite-n
+    GV form; "" marks a cell outside its bound's domain."""
     n = params.n
     top = params.ell * params.mu
     xi = params.m / params.eta
     rows = []
-    for j in range(1, args.grid + 1):
-        delta = j / args.grid
+    for j in range(1, grid + 1):
+        delta = j / grid
         d = min(max(_round_half_up(delta * n), 1), top)
-        r_sing = _clamp01(singleton_max_k(params, d) / n)
-        r_sp = sp_max_k(params, d) / n
-        r_sp_s = sp_simplified_max_k(params, d) / n
-        r_gv = gv_max_k(params, d) / n
-        r_gv_s = gv_simplified_max_k(params, d) / n if d > 2 else ""
-        if args.asym_mode == "xi":
+        if asym_mode == "xi":
             raw_sp_a = sp_asymptotic_rate(delta, "xi", xi=xi)
             raw_gv_a = gv_asymptotic_rate(delta, "xi", xi=xi)
         else:
@@ -163,22 +149,29 @@ def _cmd_curve(args, parser):
             )
         rows.append([
             delta, d,
-            r_sing, r_sp, r_sp_s,
+            singleton_max_k(params, d) / n,
+            sp_max_k(params, d) / n,
+            sp_simplified_max_k(params, d) / n,
             _clamp01(raw_sp_a),
-            r_gv,
-            _clamp01(r_gv_s) if r_gv_s != "" else "",
+            gv_max_k(params, d) / n,
+            gv_simplified_max_k(params, d) / n if d > 2 else "",
             _clamp01(raw_gv_a) if raw_gv_a != "" else "",
             raw_sp_a,
             raw_gv_a,
         ])
-    return _CURVE_HEADER, rows
+    return rows
+
+
+def _cmd_curve(args, parser):
+    params = _params_from(args, parser)
+    if args.grid < 1:
+        parser.error("--grid must be >= 1")
+    return _CURVE_HEADER, curve_rows(params, args.grid, args.asym_mode)
 
 
 def _cmd_genericity(args, parser):
     params = _params_from(args, parser)
     k = args.k
-    if not 1 <= k <= params.ell * params.mu:
-        parser.error(f"--k {k} outside [1, {params.ell * params.mu}]")
     a = msrd_prob_lb_A(params.q, params.m, params.eta, params.ell, k)
     u_lemma = msrd_prob_lb_U(params.q, params.m, params.eta, params.ell, k, "lemma")
     u_printed = msrd_prob_lb_U(params.q, params.m, params.eta, params.ell, k, "printed")
@@ -230,8 +223,6 @@ def _cmd_mmin(args, parser):
 
 def _cmd_montecarlo(args, parser):
     params = _params_from(args, parser)
-    if not 1 <= args.k < params.n:
-        parser.error(f"--k {args.k} outside [1, {params.n - 1}]")
     if args.predicate == "msrd":
         predicate = is_msrd
     else:
@@ -324,10 +315,14 @@ def run(argv=None) -> int:
     """Parse argv, run the subcommand, write its table; returns the exit code.
 
     Exit codes: 0 success, 2 usage error (via argparse), 1 output I/O failure.
+    A ValueError or ResourceLimitError of the library is a usage error.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
-    header, rows = args.builder(args, parser)
+    try:
+        header, rows = args.builder(args, parser)
+    except (ValueError, ResourceLimitError) as exc:
+        parser.error(str(exc))
     text = _render(header, rows, args.format)
     if args.out:
         try:

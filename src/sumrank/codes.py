@@ -155,10 +155,6 @@ class EchelonBlockMatrix:
     eta: int
 
     @property
-    def t_parts(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
-
-    @property
     def total(self) -> int:
         return sum(len(b) for b in self.blocks)
 

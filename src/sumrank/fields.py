@@ -98,9 +98,6 @@ class PrimeField:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return pow(self.inv(a), -e, self.p)
@@ -259,22 +256,14 @@ class ExtensionField:
     where a is a root of the modulus.
     """
 
-    def __init__(self, base, degree: int, modulus: Sequence[int] | None = None):
+    def __init__(self, base, degree: int):
         if degree < 1:
             raise ValueError(f"extension degree must be >= 1, got {degree}")
         self.base = base
         self.degree = degree
         self.order = base.order**degree
         self.characteristic = base.characteristic
-        if modulus is None:
-            modulus = _smallest_irreducible(base, degree)
-        else:
-            modulus = tuple(modulus)
-            if len(modulus) != degree + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of the extension degree")
-            if degree > 1 and not _is_irreducible(base, list(modulus)):
-                raise ValueError("modulus is reducible")
-        self.modulus = tuple(modulus)
+        self.modulus = _smallest_irreducible(base, degree)
         # characteristic 2: every level's order is a power of two, so
         # digit-wise addition of the int encodings is plain XOR
         self._xor_add = self.characteristic == 2
@@ -374,9 +363,6 @@ class ExtensionField:
         s0 = [B.mul(v, c) for v in s0]
         return self.encode(s0 + [0] * (self.degree - len(s0)))
 
-    def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
-
     def pow(self, x: int, e: int) -> int:
         if e < 0:
             x, e = self.inv(x), -e
@@ -392,10 +378,6 @@ class ExtensionField:
         """Action of a base-field scalar c on x (coefficient-wise)."""
         B = self.base
         return self.encode(B.mul(c, a) for a in self.decode(x))
-
-    def embed(self, c: int) -> int:
-        """The base-field element c viewed as an element of this field."""
-        return c
 
     def expand(self, x: int) -> tuple[int, ...]:
         """Coordinates of x over the base field (constant term in slot 0)."""
@@ -464,12 +446,6 @@ def field_make(p: int, e: int):
     if e == 1:
         return PrimeField(p)
     return ExtensionField(PrimeField(p), e)
-
-
-def field_from_order(q: int):
-    """F_q for a prime power q."""
-    p, e = prime_power(q)
-    return field_make(p, e)
 
 
 @lru_cache(maxsize=None)

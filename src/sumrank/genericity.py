@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .combinatorics import binomial, log2_int, q_binomial
 from .combinatorics import gamma_q as _gamma_q
+from .fields import prime_power
 from .volumes import CodeParams, volume_table
 
 __all__ = [
@@ -235,6 +236,7 @@ def min_extension_degree(
     bound_kind is one of "A", "U-lemma", "U-printed", "BR".  Each raw bound is
     increasing in m, so an exponential-then-binary search applies.
     """
+    prime_power(q)  # raises for non-prime-powers
     if bound_kind not in _MMIN_KINDS:
         raise ValueError(f"bound_kind must be one of {_MMIN_KINDS}, got {bound_kind!r}")
     if n % ell:

@@ -16,19 +16,17 @@ import time
 import pytest
 
 from sumrank.bounds import (
-    gv_asymptotic_rate,
     gv_holds,
     gv_max_k,
     gv_simplified_holds,
     gv_simplified_max_k,
     singleton_max_k,
-    sp_asymptotic_rate,
     sp_holds,
     sp_max_k,
     sp_simplified_holds,
     sp_simplified_max_k,
 )
-from sumrank.cli import main as cli_main
+from sumrank.cli import curve_rows, main as cli_main
 from sumrank.codes import is_msrd, monte_carlo
 from sumrank.combinatorics import gamma_q, logq_int, nm_count
 from sumrank.genericity import (
@@ -190,28 +188,17 @@ def test_criterion_5_solver_orderings():
 # -- 6 ----------------------------------------------------------------------
 
 def _curve_gaps(params, include_asymptotic):
-    n, top = params.n, params.ell * params.mu
-    xi = params.m / params.eta
+    """Largest gaps over the 64-point sweep between the exact (e), simplified
+    (s) and growing-block asymptotic (a) rate curves of SP and GV."""
     gaps = {"sp_es": 0.0, "gv_es": 0.0, "sp_ea": 0.0, "gv_ea": 0.0, "sp_sa": 0.0, "gv_sa": 0.0}
-    for j in range(1, 65):
-        delta = j / 64
-        d = min(max(int(delta * n + 0.5), 1), top)
-        curves = {}
-        curves["sp_e"] = sp_max_k(params, d) / n
-        curves["sp_s"] = sp_simplified_max_k(params, d) / n
-        curves["gv_e"] = gv_max_k(params, d) / n
-        curves["gv_s"] = gv_simplified_max_k(params, d) / n if d > 2 else None
-        if include_asymptotic:
-            curves["sp_a"] = min(1.0, max(0.0, sp_asymptotic_rate(delta, "xi", xi=xi)))
-            curves["gv_a"] = min(1.0, max(0.0, gv_asymptotic_rate(delta, "xi", xi=xi)))
-        for fam in ("sp", "gv"):
-            e, s = curves[f"{fam}_e"], curves[f"{fam}_s"]
-            if s is not None:
+    for row in curve_rows(params, 64, "xi"):
+        _, _, _, sp_e, sp_s, sp_a, gv_e, gv_s, gv_a, _, _ = row
+        for fam, (e, s, a) in (("sp", (sp_e, sp_s, sp_a)), ("gv", (gv_e, gv_s, gv_a))):
+            if s != "":  # simplified GV is undefined at d <= 2
                 gaps[f"{fam}_es"] = max(gaps[f"{fam}_es"], abs(e - s))
             if include_asymptotic:
-                a = curves[f"{fam}_a"]
                 gaps[f"{fam}_ea"] = max(gaps[f"{fam}_ea"], abs(e - a))
-                if s is not None:
+                if s != "":
                     gaps[f"{fam}_sa"] = max(gaps[f"{fam}_sa"], abs(s - a))
     return gaps
 

@@ -153,16 +153,36 @@ def test_out_unwritable_returns_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     for argv in (
         ["volume", "--q", "2", "--m", "2", "--eta", "2"],  # only one of eta/ell/n
         ["volume", "--q", "2", "--m", "2", "--eta", "3", "--n", "4"],  # eta does not divide n
         ["volume", "--q", "2", "--m", "2", "--eta", "2", "--ell", "3", "--n", "4"],
         ["volume", "--q", "6", "--m", "2", "--eta", "2", "--ell", "2"],  # q not a prime power
+        ["volume", *P, "--radius", "-1"],
         ["bounds", *P, "--d", "9"],
+        ["bounds", *P, "--d", "0"],
+        ["curve-sp-gv", *P, "--grid", "0"],
+        ["genericity", *P, "--k", "5"],
         ["mmin", "--q", "2", "--n", "8", "--k", "2", "--bounds", "A,Z"],
+        ["mmin", "--q", "2", "--n", "8", "--k", "9"],
+        ["mmin", "--q", "6", "--n", "8", "--k", "2"],
+        ["mmin", "--q", "1", "--n", "8", "--k", "2"],
+        ["montecarlo", *P, "--k", "4"],
+        ["montecarlo", *P, "--k", "1", "--trials", "0"],
+        ["montecarlo", *P, "--k", "1", "--seed", "-1"],
+        ["montecarlo", *P, "--k", "1", "--predicate", "mindist", "--d", "0"],
+        # q^(mk) = 2^24 messages, above the 2^20 enumeration cap
+        ["montecarlo", "--q", "2", "--m", "8", "--eta", "2", "--ell", "2", "--k", "3",
+         "--predicate", "mindist", "--d", "2"],
         ["nonsense"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 2
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, argv
+        # argparse prints the usage, then one line "sumrank ...: error: <message>"
+        lines = err.splitlines()
+        assert [line for line in lines if ": error: " in line] == lines[-1:], argv
+        assert lines[-1].startswith("sumrank"), argv

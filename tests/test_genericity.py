@@ -162,6 +162,9 @@ def test_min_extension_degree_cap_and_validation():
         min_extension_degree(2, 8, 4, 1, "Z")
     with pytest.raises(ValueError):
         min_extension_degree(2, 8, 8, 1, "BR")  # BR needs k < n
+    for q in (1, 6):  # not prime powers
+        with pytest.raises(ValueError):
+            min_extension_degree(q, 8, 2, 1, "A")
 
 
 def test_min_extension_degree_crossover_small():
