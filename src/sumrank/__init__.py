@@ -23,7 +23,6 @@ from .bounds import (
     sp_simplified_max_k,
 )
 from .codes import (
-    EchelonBlockMatrix,
     LinearCode,
     ResourceLimitError,
     TrialResult,
@@ -50,7 +49,6 @@ from .combinatorics import (
 from .fields import (
     ExtensionField,
     PrimeField,
-    expand,
     ext_make,
     field_make,
     matrix_rank,
@@ -80,7 +78,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CodeParams",
-    "EchelonBlockMatrix",
     "ExtensionField",
     "GvAttainment",
     "LinearCode",
@@ -95,7 +92,6 @@ __all__ = [
     "block_rank_profile",
     "echelon_blocks_iter",
     "echelon_count",
-    "expand",
     "ext_make",
     "field_make",
     "gamma_q",

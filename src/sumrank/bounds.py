@@ -90,24 +90,21 @@ def sp_max_k(params: CodeParams, d: int) -> int:
     return _largest_k(_sp_pred(params, d), params.n)
 
 
+def _sp_simplified_pred(params: CodeParams, d: int):
+    """The simplified sphere-packing inequality at distance d, as a predicate of k."""
+    _check_d(params, d)
+    t = (d - 1) // 2
+    ell, m = params.ell, params.m
+    return lambda k: (
+        m * k + (m + params.eta - t / ell) * t - ell / 4 - ell * log_gamma_q(params.q)
+    ) <= m * params.n
+
+
 def sp_simplified_holds(params: CodeParams, k: int, d: int) -> bool:
     """Simplified sphere-packing feasibility, with the ball replaced by the
     lower bound q^{(m + eta - t/ell) t - ell/4} / gamma_q^ell, t = (d-1)//2."""
     _check_k(params, k)
-    _check_d(params, d)
-    return _sp_simplified_ineq(params, k, d)
-
-
-def _sp_simplified_ineq(params: CodeParams, k: int, d: int) -> bool:
-    t = (d - 1) // 2
-    ell, m = params.ell, params.m
-    lhs = (
-        m * k
-        + (m + params.eta - t / ell) * t
-        - ell / 4
-        - ell * log_gamma_q(params.q)
-    )
-    return lhs <= m * params.n
+    return _sp_simplified_pred(params, d)(k)
 
 
 def sp_simplified_max_k(params: CodeParams, d: int) -> int:
@@ -116,8 +113,7 @@ def sp_simplified_max_k(params: CodeParams, d: int) -> int:
     For d <= 2 the packing radius is 0 and the inequality degenerates; the
     cap then yields k = n.
     """
-    _check_d(params, d)
-    return _largest_k(lambda k: _sp_simplified_ineq(params, k, d), params.n)
+    return _largest_k(_sp_simplified_pred(params, d), params.n)
 
 
 def sp_asymptotic_rate(
@@ -185,37 +181,29 @@ def gv_max_k(params: CodeParams, d: int) -> int:
     return _largest_k(_gv_pred(params, d), params.n)
 
 
-def _check_gv_simplified_d(params: CodeParams, d: int):
+def _gv_simplified_pred(params: CodeParams, d: int):
+    """The simplified GV condition at distance d > 2, as a predicate of k."""
     if d <= 2:
         raise ValueError(f"simplified GV bound needs d > 2, got d={d}")
     _check_d(params, d)
+    ell, m, q = params.ell, params.m, params.q
+    return lambda k: (
+        m * (k - 1) + math.log(d - 1) / math.log(q) + logq_int(binomial(ell + d - 2, ell - 1), q)
+        + ell * log_gamma_q(q) + (d - 1) * (m + params.eta - (d - 1) / ell)
+    ) < m * params.n
 
 
 def gv_simplified_holds(params: CodeParams, k: int, d: int) -> bool:
     """Simplified GV condition (requires d > 2), with the ball replaced by
     the upper bound (d-1) C(ell+d-2, ell-1) gamma_q^ell q^{(d-1)(m+eta-(d-1)/ell)}."""
     _check_k(params, k)
-    _check_gv_simplified_d(params, d)
-    return _gv_simplified_ineq(params, k, d)
-
-
-def _gv_simplified_ineq(params: CodeParams, k: int, d: int) -> bool:
-    ell, m, q = params.ell, params.m, params.q
-    lhs = (
-        m * (k - 1)
-        + math.log(d - 1) / math.log(q)
-        + logq_int(binomial(ell + d - 2, ell - 1), q)
-        + ell * log_gamma_q(q)
-        + (d - 1) * (m + params.eta - (d - 1) / ell)
-    )
-    return lhs < m * params.n
+    return _gv_simplified_pred(params, d)(k)
 
 
 def gv_simplified_max_k(params: CodeParams, d: int) -> int:
     """Largest k satisfying the simplified GV condition; 0 if none.
     Always at most gv_max_k since the ball is over-estimated."""
-    _check_gv_simplified_d(params, d)
-    return _largest_k(lambda k: _gv_simplified_ineq(params, k, d), params.n)
+    return _largest_k(_gv_simplified_pred(params, d), params.n)
 
 
 def gv_asymptotic_rate(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io
 import json
 import sys
@@ -32,6 +33,7 @@ from .bounds import (
     sp_simplified_max_k,
 )
 from .codes import ResourceLimitError, is_msrd, min_distance_bruteforce, monte_carlo
+from .fields import prime_power
 from .genericity import (
     _clamp01,
     min_extension_degree,
@@ -41,7 +43,7 @@ from .genericity import (
 )
 from .volumes import CodeParams, volume_table
 
-__all__ = ["curve_rows", "main", "run"]
+__all__ = ["curve_rows", "run"]
 
 
 def _params_from(args, parser) -> CodeParams:
@@ -94,8 +96,23 @@ def _cmd_volume(args, parser):
     if not 0 <= radius <= top:
         parser.error(f"--radius {radius} outside [0, {top}]")
     table = volume_table(params)
-    rows = [[t, table.sphere(t), table.ball(t)] for t in range(radius + 1)]
+    if args.format == "json":
+        rows = [[t, table.sphere(t), table.ball(t)] for t in range(radius + 1)]
+    else:
+        rows = _decimal_volume_rows(table, radius)
     return ["t", "sphere", "ball"], rows
+
+
+def _decimal_volume_rows(table, radius: int):
+    """Yield the CSV volume rows, sphere and ball spelled in decimal.  Balls are
+    running sums of Decimals: CPython's int->str is quadratic in the digit
+    count, Decimal addition and str() are linear."""
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    ball = decimal.Decimal(0)
+    for t in range(radius + 1):
+        sphere = str(table.sphere(t))
+        ball = ctx.add(ball, decimal.Decimal(sphere))
+        yield [t, sphere, str(ball)]
 
 
 def _cmd_bounds(args, parser):
@@ -176,7 +193,7 @@ def _cmd_genericity(args, parser):
     u_lemma = msrd_prob_lb_U(params.q, params.m, params.eta, params.ell, k, "lemma")
     u_printed = msrd_prob_lb_U(params.q, params.m, params.eta, params.ell, k, "printed")
     br_cells = ["", "", ""]
-    if 1 <= k < params.n and params.n - k + 1 <= params.ell * params.mu:
+    if 1 <= k < params.n and params.msrd_attainable(k):
         br = msrd_prob_bounds_BR(params, k, with_upper=args.with_br_upper)
         br_cells = [br.raw_lower, br.lower, br.upper if br.upper is not None else ""]
     header = [
@@ -197,6 +214,7 @@ def _cmd_genericity(args, parser):
 
 
 def _cmd_mmin(args, parser):
+    prime_power(args.q)  # raises for non-prime-powers, whichever --bounds
     kinds = [s.strip() for s in args.bounds.split(",") if s.strip()]
     bad = [s for s in kinds if s not in ("A", "U", "BR")]
     if bad:
@@ -223,14 +241,16 @@ def _cmd_mmin(args, parser):
 
 def _cmd_montecarlo(args, parser):
     params = _params_from(args, parser)
+    d, top = args.d, params.ell * params.mu
     if args.predicate == "msrd":
+        if d is not None:
+            parser.error("--d applies only to --predicate mindist")
         predicate = is_msrd
     else:
-        if args.d is None:
+        if d is None:
             parser.error("--predicate mindist needs --d")
-        if args.d < 1:
-            parser.error("--d must be >= 1")
-        d = args.d
+        if not 1 <= d <= top:
+            parser.error(f"--d {d} outside [1, {top}]")
         predicate = lambda code: min_distance_bruteforce(code) >= d
     result = monte_carlo(params, args.k, args.trials, args.seed, predicate)
     header = ["trials", "successes", "estimate", "seed"]
@@ -316,7 +336,11 @@ def run(argv=None) -> int:
 
     Exit codes: 0 success, 2 usage error (via argparse), 1 output I/O failure.
     A ValueError or ResourceLimitError of the library is a usage error.
+    Lifts CPython's limit on int-to-str digits: the volume table prints balls
+    up to q^(mn), which can exceed 4,300 decimal digits.
     """
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -336,9 +360,5 @@ def run(argv=None) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

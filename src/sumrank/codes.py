@@ -27,7 +27,6 @@ from .volumes import CodeParams
 __all__ = [
     "ResourceLimitError",
     "LinearCode",
-    "EchelonBlockMatrix",
     "TrialResult",
     "ambient_field",
     "block_rank_profile",
@@ -67,7 +66,7 @@ def block_rank_profile(
     profile = []
     for i in range(ell):
         block = x[i * eta : (i + 1) * eta]
-        cols = [ext.expand(v) for v in block]
+        cols = [ext.decode(v) for v in block]
         rows = [[col[r] for col in cols] for r in range(m)]
         profile.append(matrix_rank(base, rows))
     return tuple(profile)
@@ -146,30 +145,6 @@ def min_distance_bruteforce(code: LinearCode, cap: int = 2**20) -> int:
 # ---------------------------------------------------------------------------
 # reduced-echelon block matrices
 
-@dataclass(frozen=True)
-class EchelonBlockMatrix:
-    """Block-diagonal matrix with one full-rank reduced-row-echelon block of
-    shape t_i x eta per position; blocks with t_i = 0 are empty tuples."""
-
-    blocks: tuple[tuple[tuple[int, ...], ...], ...]
-    eta: int
-
-    @property
-    def total(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def dense(self) -> list[list[int]]:
-        """The assembled total x (ell*eta) matrix."""
-        ell = len(self.blocks)
-        out = []
-        for i, block in enumerate(self.blocks):
-            for row in block:
-                full = [0] * (ell * self.eta)
-                full[i * self.eta : (i + 1) * self.eta] = row
-                out.append(full)
-        return out
-
-
 def _rref_full_rank(eta: int, r: int, q: int) -> list[tuple[tuple[int, ...], ...]]:
     """All rank-r reduced-row-echelon r x eta matrices over a q-element field.
 
@@ -209,15 +184,16 @@ def echelon_count(params: CodeParams, t: int) -> int:
     return total
 
 
-def echelon_blocks_iter(params: CodeParams, t: int) -> Iterator[EchelonBlockMatrix]:
+def echelon_blocks_iter(params: CodeParams, t: int) -> Iterator[tuple]:
     """Yield every block-diagonal full-rank reduced-echelon matrix of total
-    rank t exactly once (outer order: lexicographic weight decompositions)."""
+    rank t exactly once (outer order: lexicographic weight decompositions),
+    as the tuple of its ell diagonal blocks: block i is a full-rank
+    reduced-row-echelon t_i x eta matrix (a tuple of rows), empty if t_i = 0."""
     if not 0 <= t <= params.ell * params.eta:
         raise ValueError(f"t={t} outside [0, {params.ell * params.eta}]")
     per_rank = {r: _rref_full_rank(params.eta, r, params.q) for r in range(min(params.eta, t) + 1)}
     for parts in partitions_iter(t, params.ell, min(params.eta, t)):
-        for combo in itertools.product(*(per_rank[r] for r in parts)):
-            yield EchelonBlockMatrix(blocks=combo, eta=params.eta)
+        yield from itertools.product(*(per_rank[r] for r in parts))
 
 
 def is_msrd(code: LinearCode, cap: int = 200_000) -> bool:
@@ -229,22 +205,19 @@ def is_msrd(code: LinearCode, cap: int = 200_000) -> bool:
     ResourceLimitError when the echelon enumeration would exceed the cap.
     """
     params, k = code.params, code.k
-    d_target = params.n - k + 1
-    if d_target > params.ell * params.mu:
-        raise ValueError(
-            f"target distance {d_target} exceeds {params.ell * params.mu}; "
-            "MSRD is unattainable for this dimension"
-        )
+    if not params.msrd_attainable(k):
+        raise ValueError(f"target distance n-k+1={params.n - k + 1} exceeds the largest "
+                         f"weight {params.ell * params.mu}; MSRD is unattainable")
     count = echelon_count(params, k)
     if count > cap:
         raise ResourceLimitError(f"|echelon set| = {count} exceeds cap {cap}")
     ext = code.ext
     eta = params.eta
-    for u in echelon_blocks_iter(params, k):
+    for blocks in echelon_blocks_iter(params, k):
         # P = U G^T over F_{q^m}: row r of U (local row rho of block i)
         # pairs with code row s on the eta columns of block i.
         prod_rows = []
-        for i, block in enumerate(u.blocks):
+        for i, block in enumerate(blocks):
             for urow in block:
                 prow = []
                 for s in range(k):

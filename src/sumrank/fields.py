@@ -22,7 +22,6 @@ __all__ = [
     "ExtensionField",
     "field_make",
     "ext_make",
-    "expand",
     "matrix_rank",
     "is_prime",
     "prime_power",
@@ -234,17 +233,29 @@ def _smallest_irreducible(F, degree: int) -> tuple[int, ...]:
     q = F.order
     for idx in range(q**degree):
         # digits of idx are base-q ints; they are exactly the F-encodings
-        f = _digits_to_coeffs(idx, q, degree) + [1]
+        f = _digits(idx, q, degree) + [1]
         if _is_irreducible(F, f):
             return tuple(f)
     raise RuntimeError(f"no irreducible of degree {degree} over order-{q} field")
 
 
-def _digits_to_coeffs(idx: int, base: int, length: int) -> list[int]:
+def _digits(x: int, base: int, length: int) -> list[int]:
+    """The lowest `length` base-`base` digits of x, least significant first."""
     out = []
     for _ in range(length):
-        idx, r = divmod(idx, base)
+        x, r = divmod(x, base)
         out.append(r)
+    return out
+
+
+def _power(mul, x: int, e: int) -> int:
+    """x^e for e >= 0 by square-and-multiply with the multiplication mul."""
+    out = 1
+    while e:
+        if e & 1:
+            out = mul(out, x)
+        x = mul(x, x)
+        e >>= 1
     return out
 
 
@@ -273,12 +284,7 @@ class ExtensionField:
     # -- encoding ----------------------------------------------------------
     def decode(self, x: int) -> list[int]:
         """Coefficient vector of x over the base field, constant term first."""
-        b = self.base.order
-        out = []
-        for _ in range(self.degree):
-            x, r = divmod(x, b)
-            out.append(r)
-        return out
+        return _digits(x, self.base.order, self.degree)
 
     def encode(self, coeffs: Iterable[int]) -> int:
         b = self.base.order
@@ -366,22 +372,12 @@ class ExtensionField:
     def pow(self, x: int, e: int) -> int:
         if e < 0:
             x, e = self.inv(x), -e
-        out = 1
-        while e:
-            if e & 1:
-                out = self.mul(out, x)
-            x = self.mul(x, x)
-            e >>= 1
-        return out
+        return _power(self.mul, x, e)
 
     def scalar_mul(self, c: int, x: int) -> int:
         """Action of a base-field scalar c on x (coefficient-wise)."""
         B = self.base
         return self.encode(B.mul(c, a) for a in self.decode(x))
-
-    def expand(self, x: int) -> tuple[int, ...]:
-        """Coordinates of x over the base field (constant term in slot 0)."""
-        return tuple(self.decode(x))
 
     def elements(self) -> range:
         return range(self.order)
@@ -394,7 +390,7 @@ class ExtensionField:
         factors = _prime_factors(group) if group > 1 else []
         gen = None
         for cand in range(2, n):
-            if all(self._pow_raw(cand, group // r) != 1 for r in factors):
+            if all(_power(self._mul_raw, cand, group // r) != 1 for r in factors):
                 gen = cand
                 break
         if gen is None:  # order 2: the group is trivial
@@ -408,15 +404,6 @@ class ExtensionField:
         for i, v in enumerate(exp):
             log[v] = i
         self._exp, self._log = exp, log
-
-    def _pow_raw(self, x: int, e: int) -> int:
-        out = 1
-        while e:
-            if e & 1:
-                out = self._mul_raw(out, x)
-            x = self._mul_raw(x, x)
-            e >>= 1
-        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -439,10 +426,6 @@ def field_make(p: int, e: int):
 
     e = 1 returns the prime field itself (modulus x).
     """
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    if e < 1:
-        raise ValueError(f"extension degree must be >= 1, got {e}")
     if e == 1:
         return PrimeField(p)
     return ExtensionField(PrimeField(p), e)
@@ -452,11 +435,6 @@ def field_make(p: int, e: int):
 def ext_make(base, m: int) -> ExtensionField:
     """The degree-m extension of a constructed field, F_{q^m} over F_q."""
     return ExtensionField(base, m)
-
-
-def expand(ext: ExtensionField, x: int) -> tuple[int, ...]:
-    """Base-field coordinate vector of x with respect to the polynomial basis."""
-    return ext.expand(x)
 
 
 def matrix_rank(F, rows: Sequence[Sequence[int]]) -> int:

@@ -81,33 +81,21 @@ def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-def _ln_failure_A(q: int, m: int, eta: int, ell: int, k: int) -> float:
+def _ln_failure(q: int, m: int, eta: int, ell: int, k: int, kind: str) -> float:
+    """ln of the failure term k C(k+ell-1, ell-1) q^e of bound A (e = eta k - m)
+    or U (e = k(eta - k/ell) - m, less ell/4 if "U-printed", times gamma_q^ell)."""
     lnq = math.log(q)
-    return (
-        math.log(k)
-        + log2_int(binomial(k + ell - 1, ell - 1)) * math.log(2)
-        + (eta * k - m) * lnq
-    )
-
-
-def _ln_failure_U(
-    q: int, m: int, eta: int, ell: int, k: int, variant: str = "lemma"
-) -> float:
-    if variant not in ("lemma", "printed"):
-        raise ValueError(f"variant must be 'lemma' or 'printed', got {variant!r}")
-    lnq = math.log(q)
+    ln_head = math.log(k) + log2_int(binomial(k + ell - 1, ell - 1)) * math.log(2)
+    if kind == "A":
+        return ln_head + (eta * k - m) * lnq
     exponent = k * (eta - k / ell) - m
-    if variant == "printed":
+    if kind == "U-printed":
         exponent -= ell / 4
-    return (
-        math.log(k)
-        + log2_int(binomial(k + ell - 1, ell - 1)) * math.log(2)
-        + exponent * lnq
-        + ell * math.log(_gamma_q(q))
-    )
+    return ln_head + exponent * lnq + ell * math.log(_gamma_q(q))
 
 
-def _check_msrd_k(q: int, m: int, eta: int, ell: int, k: int):
+def _lower_only(kind: str, q: int, m: int, eta: int, ell: int, k: int) -> ProbabilityBound:
+    """Bound A or U: a lower bound only, clamped from its raw value."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > ell * min(m, eta):
@@ -115,14 +103,14 @@ def _check_msrd_k(q: int, m: int, eta: int, ell: int, k: int):
             f"k={k} exceeds the largest total rank {ell * min(m, eta)}; "
             "no code of that dimension can be MSRD"
         )
+    raw = _RAW_LOWER[kind](q, m, eta, ell, k)
+    return ProbabilityBound(lower=_clamp01(raw), upper=None, raw_lower=raw)
 
 
 def msrd_prob_lb_A(q: int, m: int, eta: int, ell: int, k: int) -> ProbabilityBound:
     """Lower bound 1 - k C(k+ell-1, ell-1) q^{eta k - m} on the probability
     that a uniform systematic [n, k] code (n = ell*eta) is MSRD."""
-    _check_msrd_k(q, m, eta, ell, k)
-    raw = _raw_from_log_failure(_ln_failure_A(q, m, eta, ell, k))
-    return ProbabilityBound(lower=_clamp01(raw), upper=None, raw_lower=raw)
+    return _lower_only("A", q, m, eta, ell, k)
 
 
 def msrd_prob_lb_U(
@@ -135,9 +123,9 @@ def msrd_prob_lb_U(
     default "lemma" follows the counting bound that the echelon enumeration
     actually satisfies (see tests against echelon_blocks_iter).
     """
-    _check_msrd_k(q, m, eta, ell, k)
-    raw = _raw_from_log_failure(_ln_failure_U(q, m, eta, ell, k, variant))
-    return ProbabilityBound(lower=_clamp01(raw), upper=None, raw_lower=raw)
+    if variant not in ("lemma", "printed"):
+        raise ValueError(f"variant must be 'lemma' or 'printed', got {variant!r}")
+    return _lower_only(f"U-{variant}", q, m, eta, ell, k)
 
 
 def _msrd_upper_exact(Q: int, n: int, k: int) -> Fraction:
@@ -207,12 +195,9 @@ def msrd_prob_bounds_BR(
     n = params.n
     if not 1 <= k < n:
         raise ValueError(f"k={k} outside [1, {n - 1}]")
-    d = n - k + 1
-    if d > params.ell * params.mu:
-        raise ValueError(
-            f"target distance n-k+1={d} exceeds the largest weight "
-            f"{params.ell * params.mu}; MSRD is unattainable"
-        )
+    if not params.msrd_attainable(k):
+        raise ValueError(f"target distance n-k+1={n - k + 1} exceeds the largest "
+                         f"weight {params.ell * params.mu}; MSRD is unattainable")
     raw = _br_raw_lower(params.q, params.m, params.eta, params.ell, k)
     upper = None
     if with_upper:
@@ -224,7 +209,13 @@ def msrd_prob_bounds_BR(
     )
 
 
-_MMIN_KINDS = ("A", "U-lemma", "U-printed", "BR")
+# bound kind -> unclamped lower bound as a function of (q, m, eta, ell, k)
+_RAW_LOWER = {
+    "A": lambda *a: _raw_from_log_failure(_ln_failure(*a, "A")),
+    "U-lemma": lambda *a: _raw_from_log_failure(_ln_failure(*a, "U-lemma")),
+    "U-printed": lambda *a: _raw_from_log_failure(_ln_failure(*a, "U-printed")),
+    "BR": _br_raw_lower,
+}
 
 
 def min_extension_degree(
@@ -237,24 +228,16 @@ def min_extension_degree(
     increasing in m, so an exponential-then-binary search applies.
     """
     prime_power(q)  # raises for non-prime-powers
-    if bound_kind not in _MMIN_KINDS:
-        raise ValueError(f"bound_kind must be one of {_MMIN_KINDS}, got {bound_kind!r}")
+    if bound_kind not in _RAW_LOWER:
+        raise ValueError(f"bound_kind must be one of {tuple(_RAW_LOWER)}, got {bound_kind!r}")
     if n % ell:
         raise ValueError(f"ell={ell} does not divide n={n}")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
+    if bound_kind == "BR" and k >= n:
+        raise ValueError("BR bound needs k < n")
     eta = n // ell
-
-    if bound_kind == "A":
-        raw = lambda m: _raw_from_log_failure(_ln_failure_A(q, m, eta, ell, k))
-    elif bound_kind == "U-lemma":
-        raw = lambda m: _raw_from_log_failure(_ln_failure_U(q, m, eta, ell, k, "lemma"))
-    elif bound_kind == "U-printed":
-        raw = lambda m: _raw_from_log_failure(_ln_failure_U(q, m, eta, ell, k, "printed"))
-    else:
-        if k >= n:
-            raise ValueError("BR bound needs k < n")
-        raw = lambda m: _br_raw_lower(q, m, eta, ell, k)
+    raw = lambda m: _RAW_LOWER[bound_kind](q, m, eta, ell, k)
 
     hi = 1
     while raw(hi) <= 0:
@@ -271,14 +254,18 @@ def min_extension_degree(
     return hi
 
 
+def _logq_ball(params: CodeParams, d: int) -> float:
+    """log_q of ball(d-1), from its bit length."""
+    ball = volume_table(params).ball(d - 1)
+    return log2_int(ball) / math.log2(params.q) if ball > 1 else 0.0
+
+
 def gv_attainment_epsilon_max(params: CodeParams, d: int) -> float:
     """Right endpoint of the admissible interval for epsilon:
     1 - log_q(ball(d-1)) / (m n) - 1/n."""
     if not 1 <= d <= params.ell * params.mu:
         raise ValueError(f"d={d} outside [1, {params.ell * params.mu}]")
-    ball = volume_table(params).ball(d - 1)
-    log_ball = log2_int(ball) / math.log2(params.q) if ball > 1 else 0.0
-    return 1 - log_ball / (params.m * params.n) - 1 / params.n
+    return 1 - _logq_ball(params, d) / (params.m * params.n) - 1 / params.n
 
 
 def gv_attainment_dimension(
@@ -290,7 +277,5 @@ def gv_attainment_dimension(
     eps_max = gv_attainment_epsilon_max(params, d)
     if not 0 < epsilon <= eps_max:
         raise ValueError(f"epsilon={epsilon} outside (0, {eps_max}]")
-    ball = volume_table(params).ball(d - 1)
-    log_ball = log2_int(ball) / math.log2(params.q) if ball > 1 else 0.0
-    k = math.floor(params.n * (1 - log_ball / (params.m * params.n) - epsilon))
+    k = math.floor(params.n * (1 - _logq_ball(params, d) / (params.m * params.n) - epsilon))
     return GvAttainment(epsilon=epsilon, k=k)

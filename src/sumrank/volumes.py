@@ -70,22 +70,21 @@ class CodeParams:
         """Number of words in the ambient space, q^(m n)."""
         return self.q ** (self.m * self.n)
 
+    def msrd_attainable(self, k: int) -> bool:
+        """Whether an [n, k] code can be MSRD: n - k + 1 <= ell*mu."""
+        return self.n - k + 1 <= self.ell * self.mu
+
 
 class VolumeTable:
-    """Sphere and ball volumes for all radii 0..radius_max, built in one pass.
+    """Sphere and ball volumes for all radii 0..ell*mu, built in one pass.
 
     sphere[t] is the number of words of weight exactly t, ball[t] the number
     of weight at most t; both exact integers.
     """
 
-    def __init__(self, params: CodeParams, radius_max: int | None = None):
-        top = params.ell * params.mu
-        if radius_max is None:
-            radius_max = top
-        if not 0 <= radius_max <= top:
-            raise ValueError(f"radius_max={radius_max} outside [0, {top}]")
+    def __init__(self, params: CodeParams):
         self.params = params
-        self.radius_max = radius_max
+        self.radius_max = radius_max = params.ell * params.mu
         block = [_mpz(nm_count(params.eta, params.m, s, params.q)) for s in range(params.mu + 1)]
         vol = [_mpz(1)] + [_mpz(0)] * radius_max
         reach = 0

@@ -26,7 +26,7 @@ from sumrank.bounds import (
     sp_simplified_holds,
     sp_simplified_max_k,
 )
-from sumrank.cli import curve_rows, main as cli_main
+from sumrank.cli import curve_rows, run as cli_run
 from sumrank.codes import is_msrd, monte_carlo
 from sumrank.combinatorics import gamma_q, logq_int, nm_count
 from sumrank.genericity import (
@@ -235,7 +235,7 @@ def test_criterion_6_curve_csv_anchor(tmp_path):
 
     p = P_GROWING_BLOCK
     out = tmp_path / "curve.csv"
-    assert cli_main([
+    assert cli_run([
         "curve-sp-gv", "--q", str(p.q), "--m", str(p.m), "--eta", str(p.eta),
         "--ell", str(p.ell), "--grid", "2", "--asym-mode", "xi",
         "--out", str(out),
@@ -394,7 +394,7 @@ def test_criterion_11_cli_determinism(tmp_path):
         blobs = []
         for run in ("first", "second"):
             out = tmp_path / f"{idx}-{run}.txt"
-            assert cli_main([*argv, "--out", str(out)]) == 0
+            assert cli_run([*argv, "--out", str(out)]) == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1], argv
         assert blobs[0]  # nonempty

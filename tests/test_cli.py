@@ -5,16 +5,16 @@ import io
 import pytest
 
 from sumrank.bounds import gv_max_k, singleton_max_k, sp_max_k, sp_simplified_max_k
-from sumrank.cli import main
+from sumrank.cli import run
 from sumrank.codes import is_msrd, monte_carlo
 from sumrank.genericity import min_extension_degree, msrd_prob_lb_A
-from sumrank.volumes import CodeParams
+from sumrank.volumes import CodeParams, volume_table
 
 P = ["--q", "2", "--m", "2", "--eta", "2", "--ell", "2"]
 
 
 def _run(argv, capsys):
-    code = main(argv)
+    code = run(argv)
     out = capsys.readouterr().out
     return code, out
 
@@ -37,6 +37,16 @@ def test_volume_radius_flag_and_n(capsys):
     code, out = _run(["volume", "--q", "2", "--m", "2", "--eta", "2", "--n", "4", "--radius", "1"], capsys)
     assert code == 0
     assert len(_rows(out)) == 3
+
+
+def test_volume_prints_balls_over_4300_digits(capsys):
+    # the last ball is q^(mn) = 2^16384, 4,933 decimal digits
+    code, out = _run(["volume", "--q", "16", "--m", "32", "--eta", "32", "--ell", "4"], capsys)
+    assert code == 0
+    rows = _rows(out)[1:]
+    assert rows[-1][2] == str(16 ** (32 * 128))
+    table = volume_table(CodeParams(q=16, m=32, eta=32, ell=4))
+    assert rows == [[str(t), str(table.sphere(t)), str(table.ball(t))] for t in range(129)]
 
 
 def test_bounds_row_matches_library(capsys):
@@ -127,7 +137,7 @@ def test_montecarlo_matches_library(capsys):
 def test_montecarlo_mindist_needs_d(capsys):
     argv = ["montecarlo", *P, "--k", "1", "--trials", "5", "--predicate", "mindist"]
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        run(argv)
     assert exc.value.code == 2
 
 
@@ -142,14 +152,14 @@ def test_out_file_and_determinism(tmp_path):
     targets = []
     for name in ("a.csv", "b.csv"):
         path = tmp_path / name
-        assert main(["curve-sp-gv", *P, "--grid", "8", "--out", str(path)]) == 0
+        assert run(["curve-sp-gv", *P, "--grid", "8", "--out", str(path)]) == 0
         targets.append(path.read_bytes())
     assert targets[0] == targets[1]
 
 
 def test_out_unwritable_returns_1(tmp_path, capsys):
     path = tmp_path / "nope" / "x.csv"
-    assert main(["volume", *P, "--out", str(path)]) == 1
+    assert run(["volume", *P, "--out", str(path)]) == 1
     assert "error" in capsys.readouterr().err
 
 
@@ -168,17 +178,20 @@ def test_usage_errors_exit_2(capsys):
         ["mmin", "--q", "2", "--n", "8", "--k", "9"],
         ["mmin", "--q", "6", "--n", "8", "--k", "2"],
         ["mmin", "--q", "1", "--n", "8", "--k", "2"],
+        ["mmin", "--q", "6", "--n", "4", "--k", "2", "--bounds", ","],  # no kind computed
         ["montecarlo", *P, "--k", "4"],
         ["montecarlo", *P, "--k", "1", "--trials", "0"],
         ["montecarlo", *P, "--k", "1", "--seed", "-1"],
         ["montecarlo", *P, "--k", "1", "--predicate", "mindist", "--d", "0"],
+        ["montecarlo", *P, "--k", "1", "--trials", "5", "--predicate", "mindist", "--d", "99"],
+        ["montecarlo", *P, "--k", "1", "--trials", "5", "--d", "3"],  # --d without mindist
         # q^(mk) = 2^24 messages, above the 2^20 enumeration cap
         ["montecarlo", "--q", "2", "--m", "8", "--eta", "2", "--ell", "2", "--k", "3",
          "--predicate", "mindist", "--d", "2"],
         ["nonsense"],
     ):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            run(argv)
         assert exc.value.code == 2, argv
         err = capsys.readouterr().err
         assert "Traceback" not in err, argv

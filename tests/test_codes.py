@@ -109,14 +109,13 @@ def test_echelon_iter_frozen_count():
     mats = list(echelon_blocks_iter(P2222, 2))
     assert len(mats) == 11
     assert echelon_count(P2222, 2) == 11
-    assert len(mats) == len({tuple(map(tuple, m.dense())) for m in mats})
+    assert len(mats) == len(set(mats))
 
 
 def test_echelon_iter_t_zero():
     mats = list(echelon_blocks_iter(P2222, 0))
     assert len(mats) == 1
-    assert mats[0].total == 0
-    assert mats[0].dense() == []
+    assert mats[0] == ((), ())
 
 
 def _is_rref_full_rank(rows, eta, q):
@@ -151,14 +150,13 @@ def test_echelon_iter_validity_and_counts():
                         for parts in partitions_iter(t, ell, min(eta, t))
                     )
                     assert len(mats) == expected == echelon_count(params, t)
-                    seen = set()
-                    for m in mats:
-                        assert m.total == t
-                        seen.add(tuple(map(tuple, m.dense())))
-                        for block in m.blocks:
+                    for blocks in mats:
+                        assert len(blocks) == ell
+                        assert sum(len(block) for block in blocks) == t
+                        for block in blocks:
                             if block:
                                 assert _is_rref_full_rank(block, eta, q)
-                    assert len(seen) == len(mats)
+                    assert len(set(mats)) == len(mats)
                     if t >= 1:
                         lemma_ub = (
                             binomial(t + ell - 1, ell - 1)

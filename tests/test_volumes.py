@@ -5,7 +5,6 @@ import pytest
 from sumrank.combinatorics import binomial, gamma_q, log_gamma_q, logq_int, nm_count
 from sumrank.volumes import (
     CodeParams,
-    VolumeTable,
     ball_volume,
     sphere_lower_bound_logq,
     sphere_upper_bound_logq,
@@ -99,16 +98,6 @@ def test_radius_validation():
         ball_volume(P2222, -1)
     with pytest.raises(ValueError):
         sphere_lower_bound_logq(P2222, 0)
-    with pytest.raises(ValueError):
-        VolumeTable(P2222, radius_max=top + 1)
-
-
-def test_partial_table():
-    tab = VolumeTable(P2222, radius_max=2)
-    assert [tab.sphere(t) for t in range(3)] == [1, 18, 93]
-    assert tab.ball(2) == 112
-    with pytest.raises(ValueError):
-        tab.sphere(3)
 
 
 def test_lower_bound_frozen_point():
