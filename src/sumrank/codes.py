@@ -66,10 +66,25 @@ def block_rank_profile(
     profile = []
     for i in range(ell):
         block = x[i * eta : (i + 1) * eta]
+        if base.order == 2:  # an encoding is its coordinate column as bits
+            profile.append(_xor_rank(block))
+            continue
         cols = [ext.decode(v) for v in block]
         rows = [[col[r] for col in cols] for r in range(m)]
         profile.append(matrix_rank(base, rows))
     return tuple(profile)
+
+
+def _xor_rank(vectors: Sequence[int]) -> int:
+    """F_2-rank of bit vectors, by elimination into an XOR basis whose
+    members have distinct leading bits."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis)
 
 
 def sum_rank_weight(ext: ExtensionField, x: Sequence[int], ell: int, eta: int) -> int:
@@ -213,25 +228,34 @@ def is_msrd(code: LinearCode, cap: int = 200_000) -> bool:
         raise ResourceLimitError(f"|echelon set| = {count} exceeds cap {cap}")
     ext = code.ext
     eta = params.eta
+    # P = U G^T over F_{q^m} is block-diagonal in U: a row of block i pairs
+    # with each code row on the eta columns of block i.  The rows of each
+    # (i, block) are formed once per code; there are at most
+    # ell * sum_r qbinom(eta, r) of them.
+    g_blocks = [[g[i * eta : (i + 1) * eta] for g in code.G] for i in range(params.ell)]
+    block_rows: dict[tuple[int, tuple], list[tuple[int, ...]]] = {}
     for blocks in echelon_blocks_iter(params, k):
-        # P = U G^T over F_{q^m}: row r of U (local row rho of block i)
-        # pairs with code row s on the eta columns of block i.
         prod_rows = []
         for i, block in enumerate(blocks):
-            for urow in block:
-                prow = []
-                for s in range(k):
-                    g = code.G[s]
-                    acc = 0
-                    for c in range(eta):
-                        uc = urow[c]
-                        if uc and g[i * eta + c]:
-                            acc = ext.add(acc, ext.scalar_mul(uc, g[i * eta + c]))
-                    prow.append(acc)
-                prod_rows.append(prow)
+            rows = block_rows.get((i, block))
+            if rows is None:
+                rows = block_rows[i, block] = [_row_products(ext, urow, g_blocks[i]) for urow in block]
+            prod_rows += rows
         if matrix_rank(ext, prod_rows) < k:
             return False
     return True
+
+
+def _row_products(ext: ExtensionField, urow: Sequence[int], gs: list[Sequence[int]]) -> tuple[int, ...]:
+    """sum_c urow[c] * g[c] for each g in gs, with urow over the base field."""
+    out = []
+    for g in gs:
+        acc = 0
+        for uc, gc in zip(urow, g):
+            if uc and gc:
+                acc = ext.add(acc, ext.scalar_mul(uc, gc))
+        out.append(acc)
+    return tuple(out)
 
 
 @dataclass(frozen=True)

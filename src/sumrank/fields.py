@@ -15,6 +15,7 @@ identical arithmetic.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import xor
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -27,9 +28,9 @@ __all__ = [
     "prime_power",
 ]
 
-# discrete-log multiplication tables are built lazily for extension fields
-# up to this order
-_TABLE_CAP = 4096
+# discrete-log tables (exp/log, and Zech logarithms in odd characteristic)
+# are built lazily for extension fields up to this order
+_TABLE_CAP = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -278,8 +279,12 @@ class ExtensionField:
         # characteristic 2: every level's order is a power of two, so
         # digit-wise addition of the int encodings is plain XOR
         self._xor_add = self.characteristic == 2
+        # filled by _build_log_tables: exp has period order-1 and length
+        # 2*(order-1), so a sum of two logs indexes it without reduction;
+        # zech[d] = log(1 + g^d), None where 1 + g^d = 0 (odd characteristic)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._zech: list[int | None] | None = None
 
     # -- encoding ----------------------------------------------------------
     def decode(self, x: int) -> list[int]:
@@ -294,9 +299,28 @@ class ExtensionField:
         return x
 
     # -- arithmetic --------------------------------------------------------
+    def _tables(self) -> bool:
+        """Whether the log tables serve the arithmetic; builds them on first
+        use.  Callers test `self._exp is None` first, so a field on the table
+        path pays one attribute check per operation."""
+        if self.order > _TABLE_CAP:
+            return False
+        self._build_log_tables()
+        return True
+
     def add(self, x: int, y: int) -> int:
         if self._xor_add:
             return x ^ y
+        if not x or not y:
+            return x or y
+        if self._exp is None and not self._tables():
+            return self._add_raw(x, y)
+        # g^a + g^b = g^a (1 + g^(b-a)); a negative index wraps around zech
+        lx = self._log[x]
+        z = self._zech[self._log[y] - lx]
+        return 0 if z is None else self._exp[lx + z]
+
+    def _add_raw(self, x: int, y: int) -> int:
         B = self.base
         return self.encode(B.add(a, b) for a, b in zip(self.decode(x), self.decode(y)))
 
@@ -306,19 +330,23 @@ class ExtensionField:
         return self.add(x, self.neg(y))
 
     def neg(self, x: int) -> int:
-        if self._xor_add:
+        if self._xor_add or not x:
             return x
+        if self._exp is None and not self._tables():
+            return self._neg_raw(x)
+        # -1 = g^((order-1)/2) in odd characteristic
+        return self._exp[self._log[x] + (self.order - 1) // 2]
+
+    def _neg_raw(self, x: int) -> int:
         B = self.base
         return self.encode(B.neg(a) for a in self.decode(x))
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
-        if self._exp is None and self.order <= _TABLE_CAP:
-            self._build_log_tables()
-        if self._exp is not None:
-            return self._exp[(self._log[x] + self._log[y]) % (self.order - 1)]
-        return self._mul_raw(x, y)
+        if self._exp is None and not self._tables():
+            return self._mul_raw(x, y)
+        return self._exp[self._log[x] + self._log[y]]
 
     def _mul_raw(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
@@ -349,11 +377,9 @@ class ExtensionField:
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self._exp is None and self.order <= _TABLE_CAP:
-            self._build_log_tables()
-        if self._exp is not None:
-            return self._exp[(self.order - 1 - self._log[x]) % (self.order - 1)]
-        return self._inv_raw(x)
+        if self._exp is None and not self._tables():
+            return self._inv_raw(x)
+        return self._exp[-self._log[x]]  # exp[-l] = exp[2(order-1) - l] = g^(-l)
 
     def _inv_raw(self, x: int) -> int:
         # extended Euclid in base[t] modulo the modulus
@@ -375,16 +401,23 @@ class ExtensionField:
         return _power(self.mul, x, e)
 
     def scalar_mul(self, c: int, x: int) -> int:
-        """Action of a base-field scalar c on x (coefficient-wise)."""
-        B = self.base
-        return self.encode(B.mul(c, a) for a in self.decode(x))
+        """Action of a base-field scalar c on x (coefficient-wise).
+
+        A base scalar is encoded as itself, so on the table path the action
+        is the product c*x.
+        """
+        if self._exp is None and not self._tables():
+            B = self.base
+            return self.encode(B.mul(c, a) for a in self.decode(x))
+        return self._exp[self._log[c] + self._log[x]] if c and x else 0
 
     def elements(self) -> range:
         return range(self.order)
 
     def _build_log_tables(self):
         """Exp/log tables over a deterministic primitive element (the
-        smallest encoding that generates the multiplicative group)."""
+        smallest encoding that generates the multiplicative group), and
+        Zech logarithms in odd characteristic."""
         n = self.order
         group = n - 1
         factors = _prime_factors(group) if group > 1 else []
@@ -395,15 +428,35 @@ class ExtensionField:
                 break
         if gen is None:  # order 2: the group is trivial
             gen = 1
-        exp = [1] * group
+        # x -> gen*x is F_b-linear: with x = lo + hi*b^h, gen*x is the sum
+        # of the two halves' products, each looked up in a table of b^h or
+        # b^(degree-h) entries
+        b = self.base.order
+        split = b ** (self.degree // 2)
+        gen_lo = [self._mul_raw(gen, v) for v in range(split)]
+        gen_hi = [self._mul_raw(gen, v * split) for v in range(n // split)]
+        add = xor if self._xor_add else self._add_raw
+        exp = [1] * (2 * group)
         val = 1
         for i in range(1, group):
-            val = self._mul_raw(val, gen)
+            hi, lo = divmod(val, split)
+            val = add(gen_lo[lo], gen_hi[hi])
             exp[i] = val
+        exp[group:] = exp[:group]
         log = [0] * n
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp, self._log = exp, log
+        for i in range(group):
+            log[exp[i]] = i
+        zech = None
+        if not self._xor_add:
+            # 1 + g^d differs from g^d only in the constant coordinate
+            B = self.base
+            zech = [None] * group
+            for d in range(group):
+                c = exp[d] % b
+                v = exp[d] - c + B.add(c, 1)
+                if v:
+                    zech[d] = log[v]
+        self._exp, self._log, self._zech = exp, log, zech
 
     def __eq__(self, other) -> bool:
         return (

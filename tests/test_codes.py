@@ -236,6 +236,40 @@ def _scalar_row_dot(ext, arow, grow):
     return acc
 
 
+def _lrs_code(params, k):
+    """Linearized Reed-Solomon code (Martinez-Penas, J. Algebra 504, 2018).
+
+    Row j, block i, column c holds sigma^j(beta_c) * N_j(a_i), where sigma is
+    the Frobenius x -> x^q, N_j(a) = a^((q^j - 1)/(q - 1)), the evaluation
+    points a_i = gamma^i (gamma primitive) have pairwise distinct norms, and
+    beta_c = alpha^c, encoded q^c, runs over the polynomial basis.  The code
+    is MSRD when ell <= q - 1 and eta <= m.
+    """
+    q, ext = params.q, ambient_field(params)
+    Q = ext.order
+    gamma = next(x for x in range(2, Q) if len({ext.pow(x, e) for e in range(Q - 1)}) == Q - 1)
+    points = [ext.pow(gamma, i) for i in range(params.ell)]
+    assert len({ext.pow(a, (Q - 1) // (q - 1)) for a in points}) == params.ell  # distinct norms
+    G = tuple(
+        tuple(ext.mul(ext.pow(q**c, q**j), ext.pow(a, (q**j - 1) // (q - 1)))
+              for a in points for c in range(params.eta))
+        for j in range(k)
+    )
+    return LinearCode(params=params, k=k, G=G)
+
+
+@pytest.mark.parametrize("q,m,eta,ell", [(3, 2, 2, 2), (4, 2, 2, 3), (3, 3, 3, 2), (4, 2, 1, 3)])
+def test_linearized_reed_solomon_codes_are_msrd(q, m, eta, ell):
+    # known answers: every LRS code is MSRD; the brute-force distance is
+    # checked where at most 4,096 messages are enumerated
+    params = CodeParams(q=q, m=m, eta=eta, ell=ell)
+    for k in range(1, params.n):
+        code = _lrs_code(params, k)
+        assert is_msrd(code), k
+        if (q**m) ** k <= 4096:
+            assert min_distance_bruteforce(code) == params.n - k + 1, k
+
+
 def test_is_msrd_validation_and_cap():
     # n - k + 1 beyond the largest weight is rejected
     p = CodeParams(q=2, m=1, eta=2, ell=2)

@@ -162,17 +162,23 @@ def test_rank_one_2x2_count_over_f2():
 
 
 def test_large_order_fields_use_raw_ops_consistently():
-    # orders above the lookup-table cap take the polynomial arithmetic path
+    # published lexicographically-first degree-13 binary irreducible; F_{2^13}
+    # is below the lookup-table cap
     E13 = ext_make(field_make(2, 1), 13)
-    assert E13.order == 8192
-    # published lexicographically-first degree-13 binary irreducible
     assert E13.modulus == (1, 1, 0, 1, 1) + (0,) * 8 + (1,)
-    for x in (1, 2, 1234, 8191):
-        assert E13.mul(x, E13.inv(x)) == 1
-        assert E13.pow(x, E13.order - 1) == 1
+    assert E13.mul(1234, E13.inv(1234)) == 1 and E13._exp is not None
+    # orders above the cap take the polynomial arithmetic path
+    E17 = ext_make(field_make(2, 1), 17)
+    assert E17.order == 131072
+    # x^17 + x^3 + 1, the lexicographically-first degree-17 binary irreducible
+    assert E17.modulus == (1, 0, 0, 1) + (0,) * 13 + (1,)
+    for x in (1, 2, 1234, 131071):
+        assert E17.mul(x, E17.inv(x)) == 1
+        assert E17.pow(x, E17.order - 1) == 1
     x, y = 1234, 777
-    assert E13.mul(x, y) == E13.mul(y, x)
-    assert E13.add(x, y) == x ^ y  # characteristic 2 adds digit-wise
+    assert E17.mul(x, y) == E17.mul(y, x)
+    assert E17.add(x, y) == x ^ y  # characteristic 2 adds digit-wise
+    assert E17._exp is None
     tower = ext_make(field_make(2, 4), 8)  # order 2^32
     v = tower.encode([3, 7, 0, 1, 15, 2, 9, 4])
     assert tower.mul(v, tower.inv(v)) == 1
