@@ -34,7 +34,7 @@ for parts in partitions_iter(2, params.ell, params.mu):
     print(f"  {parts}")
 print(f"count via inclusion-exclusion: {partition_count(2, params.ell, params.mu)}")
 
-print("\nsphere and ball volumes (dynamic program vs direct decomposition sum):")
+print("\nsphere and ball volumes (power recurrence vs direct decomposition sum):")
 print(f"{'t':>3} {'sphere':>8} {'direct':>8} {'ball':>8}")
 total = 0
 for t in range(params.ell * params.mu + 1):

@@ -51,6 +51,8 @@ def _params_from(args, parser) -> CodeParams:
     given = sum(v is not None for v in (eta, ell, n))
     if given < 2:
         parser.error("provide two of --eta/--ell/--n")
+    if any(v is not None and v < 1 for v in (eta, ell, n)):  # before any n % v
+        parser.error("--eta, --ell and --n must be >= 1")
     if eta is None:
         if n % ell:
             parser.error(f"--ell {ell} does not divide --n {n}")

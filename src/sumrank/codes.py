@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .combinatorics import partitions_iter, q_binomial
+from .combinatorics import partitions_iter, power_coefficients, q_binomial
 from .fields import ExtensionField, ext_make, field_make, matrix_rank, prime_power
 from .volumes import CodeParams
 
@@ -160,15 +160,16 @@ def min_distance_bruteforce(code: LinearCode, cap: int = 2**20) -> int:
 # ---------------------------------------------------------------------------
 # reduced-echelon block matrices
 
-def _rref_full_rank(eta: int, r: int, q: int) -> list[tuple[tuple[int, ...], ...]]:
+@lru_cache(maxsize=32)
+def _rref_full_rank(eta: int, r: int, q: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All rank-r reduced-row-echelon r x eta matrices over a q-element field.
 
     Entry values are the field's element encodings; only their count matters
     here, so plain range(q) enumerates them.  There are qbinom(eta, r) such
-    matrices.
+    matrices, cached in one tuple that every is_msrd call shares.
     """
     if r == 0:
-        return [()]
+        return ((),)
     out = []
     for pivots in itertools.combinations(range(eta), r):
         free_pos = [
@@ -184,19 +185,14 @@ def _rref_full_rank(eta: int, r: int, q: int) -> list[tuple[tuple[int, ...], ...
             for (row, col), v in zip(free_pos, values):
                 mat[row][col] = v
             out.append(tuple(tuple(row) for row in mat))
-    return out
+    return tuple(out)
 
 
 def echelon_count(params: CodeParams, t: int) -> int:
-    """|set of block-diagonal full-rank echelon matrices of total rank t| =
-    sum over weight decompositions of prod_i qbinom(eta, t_i)."""
-    total = 0
-    for parts in partitions_iter(t, params.ell, min(params.eta, t)):
-        prod = 1
-        for r in parts:
-            prod *= q_binomial(params.eta, r, params.q)
-        total += prod
-    return total
+    """|set of block-diagonal full-rank echelon matrices of total rank t|,
+    the coefficient of z^t in (sum_r qbinom(eta, r) z^r)^ell."""
+    poly = [q_binomial(params.eta, r, params.q) for r in range(min(params.eta, t) + 1)]
+    return power_coefficients(poly, params.ell, t)[t]
 
 
 def echelon_blocks_iter(params: CodeParams, t: int) -> Iterator[tuple]:
@@ -206,9 +202,8 @@ def echelon_blocks_iter(params: CodeParams, t: int) -> Iterator[tuple]:
     reduced-row-echelon t_i x eta matrix (a tuple of rows), empty if t_i = 0."""
     if not 0 <= t <= params.ell * params.eta:
         raise ValueError(f"t={t} outside [0, {params.ell * params.eta}]")
-    per_rank = {r: _rref_full_rank(params.eta, r, params.q) for r in range(min(params.eta, t) + 1)}
     for parts in partitions_iter(t, params.ell, min(params.eta, t)):
-        yield from itertools.product(*(per_rank[r] for r in parts))
+        yield from itertools.product(*(_rref_full_rank(params.eta, r, params.q) for r in parts))
 
 
 def is_msrd(code: LinearCode, cap: int = 200_000) -> bool:

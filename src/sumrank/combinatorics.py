@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 __all__ = [
     "binomial",
     "q_binomial",
     "nm_count",
     "nm_lower_bound_logq",
+    "power_coefficients",
     "partition_count",
     "partitions_iter",
     "gamma_q",
@@ -66,6 +67,26 @@ def nm_lower_bound_logq(n: int, m: int, t: int, q: int) -> float:
     if t < 0 or t > min(n, m):
         raise ValueError(f"t={t} outside [0, min({n}, {m})]")
     return (m + n - t) * t - log_gamma_q(q)
+
+
+def power_coefficients(poly: Sequence[int], e: int, top: int) -> list[int]:
+    """Coefficients 0..top of poly(z)^e, for integer poly with poly[0] == 1.
+
+    J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): the z^(t-1)
+    coefficients of poly * P' = e * poly' * P, with P = poly^e, give
+    t p_t = sum_{s=1}^{min(deg, t)} ((e+1) s - t) poly[s] p_{t-s}.  The
+    division by t is exact, since P has integer coefficients (poly[0] == 1).
+    """
+    if not poly or poly[0] != 1 or e < 0 or top < 0:
+        raise ValueError(f"need poly[0] == 1, e >= 0 and top >= 0; got e={e}, top={top}")
+    deg = len(poly) - 1
+    p = [poly[0]]
+    for t in range(1, top + 1):
+        acc = 0
+        for s in range(1, min(deg, t) + 1):
+            acc += ((e + 1) * s - t) * poly[s] * p[t - s]
+        p.append(acc // t)
+    return p
 
 
 def partition_count(t: int, ell: int, mu: int) -> int:

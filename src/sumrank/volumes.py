@@ -2,16 +2,18 @@
 
 A word of length n = ell*eta over F_{q^m} is split into ell blocks of length
 eta; its weight is the sum of the F_q-ranks of the m-by-eta expansion of each
-block.  Sphere volumes count words of a given weight and are computed exactly
-(big integers) by a block-convolution dynamic program over the per-block
-rank-t matrix counts; a direct sum over bounded weight decompositions serves
-as an independent oracle.
+block.  The sphere volumes, words of each weight, are the coefficients of
+(sum_s nm_count(eta, m, s) z^s)^ell, exact big integers computed in one pass
+by combinatorics.power_coefficients; a direct sum over bounded weight
+decompositions serves as an independent oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .combinatorics import (
     binomial,
@@ -19,10 +21,11 @@ from .combinatorics import (
     logq_int,
     nm_count,
     partitions_iter,
+    power_coefficients,
 )
 from .fields import prime_power
 
-try:  # GMP-backed integers cut the big-table build time severalfold
+try:  # GMP-backed integers for the big tables, when installed
     from gmpy2 import mpz as _mpz
 except ImportError:  # pragma: no cover
     _mpz = int
@@ -86,25 +89,8 @@ class VolumeTable:
         self.params = params
         self.radius_max = radius_max = params.ell * params.mu
         block = [_mpz(nm_count(params.eta, params.m, s, params.q)) for s in range(params.mu + 1)]
-        vol = [_mpz(1)] + [_mpz(0)] * radius_max
-        reach = 0
-        for _ in range(params.ell):
-            reach = min(reach + params.mu, radius_max)
-            nxt = [_mpz(0)] * (radius_max + 1)
-            for t in range(reach + 1):
-                acc = _mpz(0)
-                for s in range(min(params.mu, t) + 1):
-                    prev = vol[t - s]
-                    if prev:
-                        acc += prev * block[s]
-                nxt[t] = acc
-            vol = nxt
-        self._sphere = vol
-        self._ball = []
-        acc = _mpz(0)
-        for v in vol:
-            acc += v
-            self._ball.append(acc)
+        self._sphere = power_coefficients(block, params.ell, radius_max)
+        self._ball = list(accumulate(self._sphere))
 
     def sphere(self, t: int) -> int:
         if not 0 <= t <= self.radius_max:
@@ -124,7 +110,7 @@ def volume_table(params: CodeParams) -> VolumeTable:
 
 
 def sphere_volume(params: CodeParams, t: int) -> int:
-    """Exact number of words of sum-rank weight t (dynamic program)."""
+    """Exact number of words of sum-rank weight t (from the shared VolumeTable)."""
     return volume_table(params).sphere(t)
 
 
@@ -142,13 +128,7 @@ def sphere_volume_direct(params: CodeParams, t: int) -> int:
     if not 0 <= t <= params.ell * params.mu:
         raise ValueError(f"radius t={t} outside [0, {params.ell * params.mu}]")
     block = [nm_count(params.eta, params.m, s, params.q) for s in range(params.mu + 1)]
-    total = 0
-    for parts in partitions_iter(t, params.ell, params.mu):
-        prod = 1
-        for s in parts:
-            prod *= block[s]
-        total += prod
-    return total
+    return sum(math.prod(block[s] for s in parts) for parts in partitions_iter(t, params.ell, params.mu))
 
 
 def sphere_lower_bound_logq(params: CodeParams, t: int) -> float:

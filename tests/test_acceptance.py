@@ -107,7 +107,7 @@ def test_criterion_2_direct_oracle_agreement():
             points += 1
     elapsed = time.monotonic() - start
     assert elapsed < 30, f"sweep took {elapsed:.1f}s"
-    _report(2, f"{points} (params, t) points, DP == direct sum, in {elapsed:.1f}s")
+    _report(2, f"{points} (params, t) points, recurrence == direct sum, in {elapsed:.1f}s")
 
 
 def test_criterion_3_bound_sandwich():

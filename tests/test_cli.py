@@ -168,6 +168,8 @@ def test_usage_errors_exit_2(capsys):
         ["volume", "--q", "2", "--m", "2", "--eta", "2"],  # only one of eta/ell/n
         ["volume", "--q", "2", "--m", "2", "--eta", "3", "--n", "4"],  # eta does not divide n
         ["volume", "--q", "2", "--m", "2", "--eta", "2", "--ell", "3", "--n", "4"],
+        ["volume", "--q", "2", "--m", "2", "--ell", "0", "--n", "4"],  # not a modulus
+        ["volume", "--q", "2", "--m", "2", "--eta", "0", "--n", "4"],
         ["volume", "--q", "6", "--m", "2", "--eta", "2", "--ell", "2"],  # q not a prime power
         ["volume", *P, "--radius", "-1"],
         ["bounds", *P, "--d", "9"],

@@ -13,6 +13,7 @@ from sumrank.combinatorics import (
     nm_lower_bound_logq,
     partition_count,
     partitions_iter,
+    power_coefficients,
     q_binomial,
 )
 from sumrank.fields import field_make, matrix_rank, prime_power
@@ -143,6 +144,28 @@ def test_partition_count_matches_enumeration_and_upper_bound():
                 expected = len(_compositions_bruteforce(t, ell, mu))
                 assert partition_count(t, ell, mu) == expected
                 assert partition_count(t, ell, mu) <= binomial(t + ell - 1, ell - 1)
+
+
+def test_power_of_all_ones_counts_bounded_decompositions():
+    # [z^t] (1 + z + ... + z^mu)^ell against inclusion-exclusion
+    for ell in range(1, 7):
+        for mu in range(0, 5):
+            top = ell * mu + 2
+            coeffs = power_coefficients([1] * (mu + 1), ell, top)
+            assert coeffs == [partition_count(t, ell, mu) for t in range(top + 1)]
+
+
+def test_power_coefficients_small_cases_and_validation():
+    assert power_coefficients([1, 2, 3], 2, 5) == [1, 4, 10, 12, 9, 0]  # (1+2z+3z^2)^2
+    assert power_coefficients([1, -1], 3, 3) == [1, -3, 3, -1]
+    assert power_coefficients([1, 5], 0, 2) == [1, 0, 0]
+    for bad in ([], [2, 1], [0, 1]):
+        with pytest.raises(ValueError):
+            power_coefficients(bad, 2, 3)
+    with pytest.raises(ValueError):
+        power_coefficients([1, 1], -1, 3)
+    with pytest.raises(ValueError):
+        power_coefficients([1, 1], 2, -1)
 
 
 def test_partitions_iter_order_and_counts():

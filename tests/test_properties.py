@@ -168,3 +168,13 @@ def test_max_k_resubstitutes(drawn):
             assert holds(params, k, d), (max_k, k)
         if k < n:
             assert not holds(params, k + 1, d), (max_k, k)
+
+
+@SETTINGS
+@given(code_params)
+def test_max_k_never_increases_with_d(params):
+    top = params.ell * params.mu
+    solvers = [(sp_max_k, 1), (gv_max_k, 1), (sp_simplified_max_k, 1), (gv_simplified_max_k, 3)]
+    for max_k, first in solvers:
+        ks = [max_k(params, d) for d in range(first, top + 1)]
+        assert all(a >= b for a, b in zip(ks, ks[1:])), (max_k, ks)

@@ -83,9 +83,25 @@ def test_specializations():
             assert sphere_volume(p, t) == binomial(ell, t) * (q**m - 1) ** t
 
 
+# large tables: bounded blocks with many of them, and big growing blocks
+LARGE = [CodeParams(q=2, m=16, eta=8, ell=256), CodeParams(q=16, m=32, eta=32, ell=8)]
+
+
 def test_whole_space_totals():
-    for params in SWEEP:
+    for params in SWEEP + LARGE:
         assert ball_volume(params, params.ell * params.mu) == params.space_size
+
+
+@pytest.mark.parametrize("q, m, eta, ell", [(16, 32, 32, 4), (2, 16, 8, 16)])
+def test_doubled_block_count_is_self_convolution(q, m, eta, ell):
+    # the sphere column at 2*ell blocks is the square of the one at ell blocks
+    half = volume_table(CodeParams(q=q, m=m, eta=eta, ell=ell))
+    full = volume_table(CodeParams(q=q, m=m, eta=eta, ell=2 * ell))
+    top = half.radius_max
+    assert full.radius_max == 2 * top
+    for t in range(2 * top + 1):
+        lo, hi = max(0, t - top), min(t, top)
+        assert full.sphere(t) == sum(half.sphere(u) * half.sphere(t - u) for u in range(lo, hi + 1))
 
 
 def test_radius_validation():
