@@ -223,6 +223,8 @@ def _cmd_mmin(args, parser):
         parser.error(f"--bounds entries must be A, U or BR; got {bad}")
     if args.k < 1 or args.k > args.n:
         parser.error(f"--k {args.k} outside [1, {args.n}]")
+    if args.m_cap < 1:
+        parser.error(f"--m-cap {args.m_cap} must be >= 1")
     rows = []
     for ell in _divisors(args.n):
         cells = {name: "" for name in ("A", "U-lemma", "U-printed", "BR")}
@@ -306,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", type=int, required=True, help="code dimension")
     sub.add_argument(
         "--with-br-upper", action="store_true",
-        help="also evaluate the exact BR upper bound (costly for large n)",
+        help="also evaluate the exact BR upper bound (one q^m-binomial of "
+        "about k(n-k)*log2(q^m) bits: costly for large n)",
     )
     _add_output_flags(sub)
     sub.set_defaults(builder=_cmd_genericity)

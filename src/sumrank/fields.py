@@ -33,40 +33,35 @@ __all__ = [
 _TABLE_CAP = 1 << 16
 
 
-def is_prime(n: int) -> bool:
-    """Primality by trial division; intended for field characteristics."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n in increasing order, by trial division;
+    empty for n < 2."""
+    out = []
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_prime(n: int) -> bool:
+    """Primality by trial division; intended for field characteristics."""
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def prime_power(q: int) -> tuple[int, int]:
     """Decompose q = p^e with p prime, or raise ValueError."""
-    if q < 2:
+    factors = _prime_factors(q)
+    if len(factors) != 1:
         raise ValueError(f"q={q} is not a prime power")
-    p = q
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            p = d
-            break
-        d += 1
-    e = 0
-    r = q
-    while r % p == 0:
-        r //= p
+    p, e = factors[0], 1
+    while p**e < q:
         e += 1
-    if r != 1:
-        raise ValueError(f"q={q} is not a prime power")
     return p, e
 
 
@@ -191,20 +186,6 @@ def _poly_powmod(F, f: Sequence[int], e: int, mod: Sequence[int]) -> list[int]:
         base = _poly_mod(F, _poly_mul(F, base, base), mod)
         e >>= 1
     return result
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _is_irreducible(F, f: Sequence[int]) -> bool:

@@ -9,7 +9,7 @@ full-rank block matrices of the rank criterion are counted:
   k C(k+ell-1, ell-1) q^{k(eta - k/ell) - m} gamma_q^ell, optionally with an
   extra -ell/4 in the exponent -- see msrd_prob_lb_U),
 * the BR bounds come from subspace-counting densities and give an upper bound
-  as well (exact alternating q^m-binomial sums).
+  as well (the exact complement fraction Q^{k(n-k)} / [n k]_Q, Q = q^m).
 
 Failure terms are evaluated in log domain so that extreme parameters neither
 overflow nor lose the sign of 1 - failure; raw (unclamped) values are kept so
@@ -131,24 +131,12 @@ def msrd_prob_lb_U(
 def _msrd_upper_exact(Q: int, n: int, k: int) -> Fraction:
     """Exact upper bound on the MSRD density of [n, k] codes over a field
     with Q elements: the fraction of k-dim subspaces meeting a fixed
-    (n-k)-dim subspace of low-weight words nontrivially, subtracted from 1.
+    (n-k)-dim subspace of low-weight words trivially.
 
-    The inner alternating sum is the Moebius-inverted count of subspaces whose
-    intersection with the fixed subspace has dimension exactly h.
+    Those subspaces are exactly the complements of the fixed one, and there
+    are Q^{k(n-k)} of them among the [n k]_Q k-dim subspaces.
     """
-    w = n - k
-    meet = 0
-    for h in range(1, w + 1):
-        inner = 0
-        for s in range(h, w + 1):
-            term = (
-                q_binomial(w - h, s - h, Q)
-                * q_binomial(n - s, n - k, Q)
-                * Q ** binomial(s - h, 2)
-            )
-            inner += -term if (s - h) & 1 else term
-        meet += q_binomial(w, h, Q) * inner
-    return 1 - Fraction(meet, q_binomial(n, k, Q))
+    return Fraction(Q ** (k * (n - k)), q_binomial(n, k, Q))
 
 
 def _ln_qexp_minus1(q: int, e: int) -> float:
@@ -189,8 +177,9 @@ def msrd_prob_bounds_BR(
     """Lower and upper bounds on the probability that a uniformly random
     [n, k] code is MSRD, via subspace-counting densities.
 
-    The upper bound is an exact alternating sum of q^m-binomials and is only
-    tractable for moderate n; pass with_upper=False to skip it.
+    The upper bound divides by one q^m-binomial [n k]_{q^m}, an integer of
+    about k(n-k) log2(q^m) bits, so it grows costly for large n; pass
+    with_upper=False to skip it.
     """
     n = params.n
     if not 1 <= k < n:
@@ -225,9 +214,12 @@ def min_extension_degree(
     positive, or None if no m <= m_cap works.
 
     bound_kind is one of "A", "U-lemma", "U-printed", "BR".  Each raw bound is
-    increasing in m, so an exponential-then-binary search applies.
+    increasing in m, so an exponential-then-binary search applies.  m_cap
+    must be at least 1.
     """
     prime_power(q)  # raises for non-prime-powers
+    if m_cap < 1:
+        raise ValueError(f"m_cap={m_cap} must be >= 1")
     if bound_kind not in _RAW_LOWER:
         raise ValueError(f"bound_kind must be one of {tuple(_RAW_LOWER)}, got {bound_kind!r}")
     if n % ell:

@@ -81,21 +81,19 @@ class CodeParams:
 class VolumeTable:
     """Sphere and ball volumes for all radii 0..ell*mu, built in one pass.
 
-    sphere[t] is the number of words of weight exactly t, ball[t] the number
-    of weight at most t; both exact integers.
+    ball(t) is the number of words of weight at most t, sphere(t) the number
+    of weight exactly t; both exact integers.  Only the ball column is kept,
+    and sphere(t) = ball(t) - ball(t-1).
     """
 
     def __init__(self, params: CodeParams):
         self.params = params
         self.radius_max = radius_max = params.ell * params.mu
         block = [_mpz(nm_count(params.eta, params.m, s, params.q)) for s in range(params.mu + 1)]
-        self._sphere = power_coefficients(block, params.ell, radius_max)
-        self._ball = list(accumulate(self._sphere))
+        self._ball = list(accumulate(power_coefficients(block, params.ell, radius_max)))
 
     def sphere(self, t: int) -> int:
-        if not 0 <= t <= self.radius_max:
-            raise ValueError(f"radius t={t} outside [0, {self.radius_max}]")
-        return int(self._sphere[t])
+        return self.ball(t) - (self.ball(t - 1) if t else 0)
 
     def ball(self, t: int) -> int:
         if not 0 <= t <= self.radius_max:

@@ -181,6 +181,8 @@ def test_usage_errors_exit_2(capsys):
         ["mmin", "--q", "6", "--n", "8", "--k", "2"],
         ["mmin", "--q", "1", "--n", "8", "--k", "2"],
         ["mmin", "--q", "6", "--n", "4", "--k", "2", "--bounds", ","],  # no kind computed
+        ["mmin", "--q", "2", "--n", "4", "--k", "2", "--m-cap", "0"],
+        ["mmin", "--q", "2", "--n", "4", "--k", "2", "--m-cap", "-5", "--bounds", ","],
         ["montecarlo", *P, "--k", "4"],
         ["montecarlo", *P, "--k", "1", "--trials", "0"],
         ["montecarlo", *P, "--k", "1", "--seed", "-1"],

@@ -41,10 +41,16 @@ def _check_field_axioms(F, exhaustive_triples: bool = True, seed: int = 0):
 def test_prime_checks():
     assert is_prime(2) and is_prime(3) and is_prime(65537)
     assert not is_prime(1) and not is_prime(4) and not is_prime(91)
+    for n in (0, 1, -3, 2**16, 3**10, 12):
+        assert not is_prime(n), n
     assert prime_power(8) == (2, 3)
     assert prime_power(81) == (3, 4)
-    with pytest.raises(ValueError):
-        prime_power(12)
+    assert prime_power(65537) == (65537, 1)
+    assert prime_power(2**16) == (2, 16)
+    assert prime_power(3**10) == (3, 10)
+    for q in (0, 1, -3, 12):
+        with pytest.raises(ValueError):
+            prime_power(q)
 
 
 def test_f2_arithmetic():

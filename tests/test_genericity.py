@@ -77,12 +77,37 @@ def _meet_count_complement(Q, n, k):
     return q_binomial(n, k, Q) - trivial
 
 
-@pytest.mark.parametrize("Q,n,k", [(4, 2, 1), (4, 3, 1), (4, 3, 2), (9, 3, 2), (4, 4, 2)])
+def _meet_count_double_sum(Q, n, k):
+    """A second route to the same count: over each intersection dimension
+    h >= 1, the subspaces through an h-dim part of the fixed subspace,
+    Moebius-inverted to those meeting it in exactly h dimensions."""
+    w = n - k
+    meet = 0
+    for h in range(1, w + 1):
+        inner = 0
+        for s in range(h, w + 1):
+            term = (
+                q_binomial(w - h, s - h, Q)
+                * q_binomial(n - s, n - k, Q)
+                * Q ** binomial(s - h, 2)
+            )
+            inner += -term if (s - h) & 1 else term
+        meet += q_binomial(w, h, Q) * inner
+    return meet
+
+
+@pytest.mark.parametrize(
+    "Q,n,k",
+    [(Q, n, k) for Q in (2, 3, 4, 9, 16) for n in range(2, 8) for k in range(1, n)],
+)
 def test_br_upper_against_complementary_form(Q, n, k):
+    # the closed form Q^{k(n-k)} / [n k]_Q against two alternating-sum oracles
     got = _msrd_upper_exact(Q, n, k)
-    expected = 1 - Fraction(_meet_count_complement(Q, n, k), q_binomial(n, k, Q))
-    assert got == expected
-    assert 0 <= got <= 1
+    total = q_binomial(n, k, Q)
+    assert isinstance(got, Fraction)
+    assert got == 1 - Fraction(_meet_count_complement(Q, n, k), total)
+    assert got == 1 - Fraction(_meet_count_double_sum(Q, n, k), total)
+    assert 0 < got <= 1
 
 
 def test_br_bounds_tiny_census():
@@ -156,6 +181,9 @@ def test_min_extension_degree_resubstitution():
 
 def test_min_extension_degree_cap_and_validation():
     assert min_extension_degree(2, 8, 4, 1, "A", m_cap=8) is None
+    for m_cap in (0, -5):  # a cap below 1 admits no m
+        with pytest.raises(ValueError):
+            min_extension_degree(3, 1, 1, 1, "U-lemma", m_cap=m_cap)
     with pytest.raises(ValueError):
         min_extension_degree(2, 8, 4, 3, "A")  # ell does not divide n
     with pytest.raises(ValueError):
