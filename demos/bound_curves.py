@@ -9,7 +9,7 @@ Two regimes are interesting:
     asymptotic curves already at moderate n.
 
 The defaults keep n small so the script runs in a couple of seconds; pass
---full-scale for the n = 2^11 / 2^10 runs (about 12 s).
+--full-scale for the n = 2^11 / 2^10 runs (about 13 s).
 
 The same sweep is available from the command line:
   sumrank curve-sp-gv --q 2 --m 16 --eta 8 --n 2048 --grid 64 --out curve.csv

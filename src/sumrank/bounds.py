@@ -5,8 +5,11 @@ simplified variants replace the ball volume by its gamma_q bounds and work in
 log_q domain; the asymptotic forms are closed-form rate functions of the
 relative distance delta = d/n.
 
-All max-k solvers binary-search the corresponding monotone predicate, so a
-returned k always satisfies the defining inequality and k+1 never does.
+Every max-k solver returns a k that satisfies the defining inequality while
+k+1 does not.  The exact SP/GV solvers get it in closed form, from an exact
+integer logarithm base q^m of the ball volume; the simplified solvers
+binary-search their monotone float predicates, which a closed form could
+round differently at the boundary.
 """
 
 from __future__ import annotations
@@ -54,6 +57,20 @@ def _largest_k(pred, hi: int) -> int:
     return lo
 
 
+def _floor_log(x: int, base: int) -> int:
+    """Largest e with base**e <= x, for x >= 1 and base >= 2, in exact integers.
+
+    The float estimate from the bit length lies at most 2 below e and never
+    above it (the -1 absorbs rounding); exact products then step it up.
+    """
+    e = max(0, int((x.bit_length() - 1) / math.log2(base)) - 1)
+    power = base**e
+    while power * base <= x:
+        power *= base
+        e += 1
+    return e
+
+
 # ---------------------------------------------------------------------------
 # Singleton
 
@@ -69,10 +86,15 @@ def singleton_max_k(params: CodeParams, d: int) -> int:
 # ---------------------------------------------------------------------------
 # sphere-packing
 
+def _sp_ball(params: CodeParams, d: int) -> int:
+    """The ball of packing radius (d-1)//2 the SP bound weighs at distance d."""
+    _check_d(params, d)
+    return volume_table(params).ball((d - 1) // 2)
+
+
 def _sp_pred(params: CodeParams, d: int):
     """The exact sphere-packing inequality at distance d, as a predicate of k."""
-    _check_d(params, d)
-    ball = volume_table(params).ball((d - 1) // 2)
+    ball = _sp_ball(params, d)
     space = params.space_size
     q_m = params.q**params.m
     return lambda k: q_m**k * ball <= space
@@ -86,8 +108,14 @@ def sp_holds(params: CodeParams, k: int, d: int) -> bool:
 
 
 def sp_max_k(params: CodeParams, d: int) -> int:
-    """Largest k passing the exact sphere-packing bound; 0 if none."""
-    return _largest_k(_sp_pred(params, d), params.n)
+    """Largest k passing the exact sphere-packing bound; 0 if none.
+
+    q^{m k} ball <= q^{m n} holds exactly for k <= n - ceil(log_{q^m} ball),
+    and ceil(log_Q x) = floor(log_Q (x - 1)) + 1 for x >= 2.
+    """
+    ball = _sp_ball(params, d)
+    ceil_log = 0 if ball == 1 else _floor_log(ball - 1, params.q**params.m) + 1
+    return max(0, params.n - ceil_log)
 
 
 def _sp_simplified_pred(params: CodeParams, d: int):
@@ -160,10 +188,15 @@ def sp_asymptotic_rate(
 # ---------------------------------------------------------------------------
 # Gilbert-Varshamov
 
+def _gv_ball(params: CodeParams, d: int) -> int:
+    """The ball of radius d-1 the GV bound weighs at distance d."""
+    _check_d(params, d)
+    return volume_table(params).ball(d - 1)
+
+
 def _gv_pred(params: CodeParams, d: int):
     """The exact GV inequality at distance d, as a predicate of k."""
-    _check_d(params, d)
-    ball = volume_table(params).ball(d - 1)
+    ball = _gv_ball(params, d)
     space = params.space_size
     q_m = params.q**params.m
     return lambda k: q_m ** (k - 1) * ball < space
@@ -177,8 +210,11 @@ def gv_holds(params: CodeParams, k: int, d: int) -> bool:
 
 
 def gv_max_k(params: CodeParams, d: int) -> int:
-    """Largest k guaranteed to exist by the exact GV bound; 0 if none."""
-    return _largest_k(_gv_pred(params, d), params.n)
+    """Largest k guaranteed to exist by the exact GV bound; 0 if none.
+
+    q^{m (k-1)} ball < q^{m n} holds exactly for k <= n - floor(log_{q^m} ball).
+    """
+    return max(0, params.n - _floor_log(_gv_ball(params, d), params.q**params.m))
 
 
 def _gv_simplified_pred(params: CodeParams, d: int):

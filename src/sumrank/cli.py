@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import decimal
+import functools
 import io
 import json
 import sys
@@ -221,6 +222,8 @@ def _cmd_mmin(args, parser):
     bad = [s for s in kinds if s not in ("A", "U", "BR")]
     if bad:
         parser.error(f"--bounds entries must be A, U or BR; got {bad}")
+    if args.n < 1:
+        parser.error("--n must be >= 1")
     if args.k < 1 or args.k > args.n:
         parser.error(f"--k {args.k} outside [1, {args.n}]")
     if args.m_cap < 1:
@@ -274,7 +277,10 @@ def _render(header, rows, fmt: str) -> str:
     return buf.getvalue()
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser every run() shares: parse_args leaves it unchanged, and
+    help text reads the terminal width when it is printed, not here."""
     parser = argparse.ArgumentParser(
         prog="sumrank",
         description="Sum-rank-metric code bounds, volumes and experiments.",

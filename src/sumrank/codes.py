@@ -280,6 +280,8 @@ def monte_carlo(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     successes = 0
     for i in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))

@@ -136,7 +136,7 @@ def test_criterion_4_gamma_constants():
 # -- 5 ----------------------------------------------------------------------
 
 def test_criterion_5_solver_orderings():
-    """Ordering chain + re-substitution + binary-search validity on a grid."""
+    """Ordering chain + re-substitution + solver validity on a grid."""
     params_grid = [
         CodeParams(q=q, m=m, eta=eta, ell=ell)
         for q in (2, 3)
@@ -171,7 +171,7 @@ def test_criterion_5_solver_orderings():
                     (k_gv, lambda kk: gv_holds(params, kk, d)),
                 ]
             for k_star, pred in solvers:
-                # binary search equals linear scan; k satisfies, k+1 violates
+                # solver equals linear scan; k satisfies, k+1 violates
                 scan = 0
                 for kk in range(1, n + 1):
                     if pred(kk):

@@ -3,6 +3,10 @@ import math
 import pytest
 
 from sumrank.bounds import (
+    _floor_log,
+    _gv_pred,
+    _largest_k,
+    _sp_pred,
     gv_asymptotic_rate,
     gv_holds,
     gv_max_k,
@@ -117,6 +121,39 @@ def test_gv_max_k():
             # existence never beats impossibility or Singleton
             assert k <= sp_max_k(params, d)
             assert k <= singleton_max_k(params, d)
+
+
+# the closed-form solvers against the binary search over the exact predicates
+ORACLE_SETS = GRID + [
+    CodeParams(q=2, m=16, eta=8, ell=128),
+    CodeParams(q=16, m=32, eta=32, ell=8),
+    # q^m not a power of two
+    CodeParams(q=3, m=5, eta=4, ell=16),
+    CodeParams(q=5, m=3, eta=3, ell=20),
+    CodeParams(q=9, m=4, eta=4, ell=12),
+    CodeParams(q=27, m=3, eta=3, ell=10),
+]
+
+
+@pytest.mark.parametrize("params", ORACLE_SETS, ids=str)
+def test_max_k_closed_form_matches_binary_search(params):
+    for d in range(1, params.ell * params.mu + 1):
+        assert sp_max_k(params, d) == _largest_k(_sp_pred(params, d), params.n), d
+        assert gv_max_k(params, d) == _largest_k(_gv_pred(params, d), params.n), d
+
+
+@pytest.mark.parametrize("base", [2, 3, 2**16, 3**10, 16**32], ids=["2", "3", "2^16", "3^10", "16^32"])
+def test_floor_log_at_powers(base):
+    # every e up to 64, then a stride up to 4,000: the float estimate's
+    # rounding is where an off-by-one would hide
+    power = 1
+    for e in range(1, 4001):
+        power *= base
+        if e <= 64 or e % 37 == 0:
+            assert _floor_log(power - 1, base) == e - 1, e
+            assert _floor_log(power, base) == e, e
+            assert _floor_log(power + 1, base) == e, e
+    assert _floor_log(1, base) == 0
 
 
 def test_gv_simplified():

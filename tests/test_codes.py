@@ -289,6 +289,10 @@ def test_monte_carlo_contracts():
     assert monte_carlo(P2222, 1, 25, 3, lambda c: True) == res
     with pytest.raises(ValueError):
         monte_carlo(P2222, 1, 0, 3, lambda c: True)
+    for seed in (-1, 2**64):  # seeds are 64-bit
+        with pytest.raises(ValueError):
+            monte_carlo(P2222, 1, 25, seed, lambda c: True)
+    assert monte_carlo(P2222, 1, 1, 2**64 - 1, lambda c: True).seed == 2**64 - 1
 
 
 def test_monte_carlo_msrd_frequency_vs_bound():
