@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import decimal
-import functools
 import io
 import json
 import sys
@@ -67,10 +66,9 @@ def _params_from(args, parser) -> CodeParams:
     return CodeParams(q=args.q, m=args.m, eta=eta, ell=ell)
 
 
-def _add_param_flags(sub, need_m: bool = True):
+def _add_param_flags(sub):
     sub.add_argument("--q", type=int, required=True, help="base field size (prime power)")
-    if need_m:
-        sub.add_argument("--m", type=int, required=True, help="extension degree")
+    sub.add_argument("--m", type=int, required=True, help="extension degree")
     sub.add_argument("--eta", type=int, help="block length")
     sub.add_argument("--ell", type=int, help="number of blocks")
     sub.add_argument("--n", type=int, help="code length (= eta*ell)")
@@ -277,39 +275,26 @@ def _render(header, rows, fmt: str) -> str:
     return buf.getvalue()
 
 
-@functools.lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser every run() shares: parse_args leaves it unchanged, and
-    help text reads the terminal width when it is printed, not here."""
-    parser = argparse.ArgumentParser(
-        prog="sumrank",
-        description="Sum-rank-metric code bounds, volumes and experiments.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("volume", help="sphere/ball volume table")
+def _volume_flags(sub):
     _add_param_flags(sub)
     sub.add_argument("--radius", type=int, help="largest radius (default: ell*mu)")
-    _add_output_flags(sub)
-    sub.set_defaults(builder=_cmd_volume)
 
-    sub = subs.add_parser("bounds", help="max-k bounds at one distance")
+
+def _bounds_flags(sub):
     _add_param_flags(sub)
     sub.add_argument("--d", type=int, required=True, help="minimum distance")
-    _add_output_flags(sub)
-    sub.set_defaults(builder=_cmd_bounds)
 
-    sub = subs.add_parser("curve-sp-gv", help="rate-vs-delta curve sweep")
+
+def _curve_flags(sub):
     _add_param_flags(sub)
     sub.add_argument("--grid", type=int, default=64, help="number of delta points in (0,1]")
     sub.add_argument(
         "--asym-mode", choices=("blocks", "xi"), default="blocks",
         help="asymptotic reference: many blocks (ell->inf) or growing block (m=eta*xi)",
     )
-    _add_output_flags(sub)
-    sub.set_defaults(builder=_cmd_curve)
 
-    sub = subs.add_parser("genericity", help="MSRD probability bounds")
+
+def _genericity_flags(sub):
     _add_param_flags(sub)
     sub.add_argument("--k", type=int, required=True, help="code dimension")
     sub.add_argument(
@@ -317,28 +302,55 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also evaluate the exact BR upper bound (one q^m-binomial of "
         "about k(n-k)*log2(q^m) bits: costly for large n)",
     )
-    _add_output_flags(sub)
-    sub.set_defaults(builder=_cmd_genericity)
 
-    sub = subs.add_parser("mmin", help="minimal extension degree per divisor ell of n")
+
+def _mmin_flags(sub):
     sub.add_argument("--q", type=int, required=True)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--bounds", default="A,U,BR", help="comma list among A,U,BR")
     sub.add_argument("--m-cap", type=int, default=2**20, help="search cap (-1 cell beyond it)")
-    _add_output_flags(sub)
-    sub.set_defaults(builder=_cmd_mmin)
 
-    sub = subs.add_parser("montecarlo", help="random-code experiments")
+
+def _montecarlo_flags(sub):
     _add_param_flags(sub)
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--trials", type=int, default=100)
     sub.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
     sub.add_argument("--predicate", choices=("msrd", "mindist"), default="msrd")
     sub.add_argument("--d", type=int, help="distance threshold for --predicate mindist")
-    _add_output_flags(sub)
-    sub.set_defaults(builder=_cmd_montecarlo)
 
+
+# name: (help, flags before the output flags, row builder), in --help order
+_COMMANDS = {
+    "volume": ("sphere/ball volume table", _volume_flags, _cmd_volume),
+    "bounds": ("max-k bounds at one distance", _bounds_flags, _cmd_bounds),
+    "curve-sp-gv": ("rate-vs-delta curve sweep", _curve_flags, _cmd_curve),
+    "genericity": ("MSRD probability bounds", _genericity_flags, _cmd_genericity),
+    "mmin": ("minimal extension degree per divisor ell of n", _mmin_flags, _cmd_mmin),
+    "montecarlo": ("random-code experiments", _montecarlo_flags, _cmd_montecarlo),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; given a command name, only that subcommand gets flags.
+
+    Every subcommand is listed, so usage, --help and the invalid-choice
+    error read the same either way.  Adding a flag is most of the cost of
+    building the parser (argparse formats each one as it is added), and one
+    request parses the flags of one subcommand.
+    """
+    parser = argparse.ArgumentParser(
+        prog="sumrank",
+        description="Sum-rank-metric code bounds, volumes and experiments.",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, builder) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_flags(sub)
+            _add_output_flags(sub)
+        sub.set_defaults(builder=builder)
     return parser
 
 
@@ -352,7 +364,11 @@ def run(argv=None) -> int:
     """
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse dispatches on the first positional token.  No top-level flag
+    # takes a value, so a command name there is the first in argv; any
+    # other token there fails as an invalid choice before dispatch.
+    parser = _build_parser(next((a for a in argv if a in _COMMANDS), None))
     args = parser.parse_args(argv)
     try:
         header, rows = args.builder(args, parser)

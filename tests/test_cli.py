@@ -1,18 +1,14 @@
-import contextlib
 import csv
 import json
 import io
-import itertools
 
 import pytest
 
 from sumrank.bounds import gv_max_k, singleton_max_k, sp_max_k, sp_simplified_max_k
-from sumrank.cli import _build_parser, run
+from sumrank.cli import _COMMANDS, _build_parser, run
 from sumrank.codes import is_msrd, monte_carlo
 from sumrank.genericity import min_extension_degree, msrd_prob_lb_A
 from sumrank.volumes import CodeParams, volume_table
-
-from test_golden import CASES
 
 P = ["--q", "2", "--m", "2", "--eta", "2", "--ell", "2"]
 
@@ -167,42 +163,39 @@ def test_out_unwritable_returns_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-USAGE_ERRORS = [
-    ["volume", "--q", "2", "--m", "2", "--eta", "2"],  # only one of eta/ell/n
-    ["volume", "--q", "2", "--m", "2", "--eta", "3", "--n", "4"],  # eta does not divide n
-    ["volume", "--q", "2", "--m", "2", "--eta", "2", "--ell", "3", "--n", "4"],
-    ["volume", "--q", "2", "--m", "2", "--ell", "0", "--n", "4"],  # not a modulus
-    ["volume", "--q", "2", "--m", "2", "--eta", "0", "--n", "4"],
-    ["volume", "--q", "6", "--m", "2", "--eta", "2", "--ell", "2"],  # q not a prime power
-    ["volume", *P, "--radius", "-1"],
-    ["bounds", *P, "--d", "9"],
-    ["bounds", *P, "--d", "0"],
-    ["curve-sp-gv", *P, "--grid", "0"],
-    ["genericity", *P, "--k", "5"],
-    ["mmin", "--q", "2", "--n", "8", "--k", "2", "--bounds", "A,Z"],
-    ["mmin", "--q", "2", "--n", "8", "--k", "9"],
-    ["mmin", "--q", "2", "--n", "0", "--k", "1"],
-    ["mmin", "--q", "6", "--n", "8", "--k", "2"],
-    ["mmin", "--q", "1", "--n", "8", "--k", "2"],
-    ["mmin", "--q", "6", "--n", "4", "--k", "2", "--bounds", ","],  # no kind computed
-    ["mmin", "--q", "2", "--n", "4", "--k", "2", "--m-cap", "0"],
-    ["mmin", "--q", "2", "--n", "4", "--k", "2", "--m-cap", "-5", "--bounds", ","],
-    ["montecarlo", *P, "--k", "4"],
-    ["montecarlo", *P, "--k", "1", "--trials", "0"],
-    ["montecarlo", *P, "--k", "1", "--seed", "-1"],
-    ["montecarlo", *P, "--k", "1", "--seed", str(2**64)],  # seeds are 64-bit
-    ["montecarlo", *P, "--k", "1", "--predicate", "mindist", "--d", "0"],
-    ["montecarlo", *P, "--k", "1", "--trials", "5", "--predicate", "mindist", "--d", "99"],
-    ["montecarlo", *P, "--k", "1", "--trials", "5", "--d", "3"],  # --d without mindist
-    # q^(mk) = 2^24 messages, above the 2^20 enumeration cap
-    ["montecarlo", "--q", "2", "--m", "8", "--eta", "2", "--ell", "2", "--k", "3",
-     "--predicate", "mindist", "--d", "2"],
-    ["nonsense"],
-]
-
-
 def test_usage_errors_exit_2(capsys):
-    for argv in USAGE_ERRORS:
+    for argv in (
+        ["volume", "--q", "2", "--m", "2", "--eta", "2"],  # only one of eta/ell/n
+        ["volume", "--q", "2", "--m", "2", "--eta", "3", "--n", "4"],  # eta does not divide n
+        ["volume", "--q", "2", "--m", "2", "--eta", "2", "--ell", "3", "--n", "4"],
+        ["volume", "--q", "2", "--m", "2", "--ell", "0", "--n", "4"],  # not a modulus
+        ["volume", "--q", "2", "--m", "2", "--eta", "0", "--n", "4"],
+        ["volume", "--q", "6", "--m", "2", "--eta", "2", "--ell", "2"],  # q not a prime power
+        ["volume", *P, "--radius", "-1"],
+        ["bounds", *P, "--d", "9"],
+        ["bounds", *P, "--d", "0"],
+        ["curve-sp-gv", *P, "--grid", "0"],
+        ["genericity", *P, "--k", "5"],
+        ["mmin", "--q", "2", "--n", "8", "--k", "2", "--bounds", "A,Z"],
+        ["mmin", "--q", "2", "--n", "8", "--k", "9"],
+        ["mmin", "--q", "2", "--n", "0", "--k", "1"],
+        ["mmin", "--q", "6", "--n", "8", "--k", "2"],
+        ["mmin", "--q", "1", "--n", "8", "--k", "2"],
+        ["mmin", "--q", "6", "--n", "4", "--k", "2", "--bounds", ","],  # no kind computed
+        ["mmin", "--q", "2", "--n", "4", "--k", "2", "--m-cap", "0"],
+        ["mmin", "--q", "2", "--n", "4", "--k", "2", "--m-cap", "-5", "--bounds", ","],
+        ["montecarlo", *P, "--k", "4"],
+        ["montecarlo", *P, "--k", "1", "--trials", "0"],
+        ["montecarlo", *P, "--k", "1", "--seed", "-1"],
+        ["montecarlo", *P, "--k", "1", "--seed", str(2**64)],  # seeds are 64-bit
+        ["montecarlo", *P, "--k", "1", "--predicate", "mindist", "--d", "0"],
+        ["montecarlo", *P, "--k", "1", "--trials", "5", "--predicate", "mindist", "--d", "99"],
+        ["montecarlo", *P, "--k", "1", "--trials", "5", "--d", "3"],  # --d without mindist
+        # q^(mk) = 2^24 messages, above the 2^20 enumeration cap
+        ["montecarlo", "--q", "2", "--m", "8", "--eta", "2", "--ell", "2", "--k", "3",
+         "--predicate", "mindist", "--d", "2"],
+        ["nonsense"],
+    ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2, argv
@@ -217,25 +210,26 @@ def test_usage_errors_exit_2(capsys):
     assert capsys.readouterr().err.endswith("error: --n must be >= 1\n")
 
 
-def _outcome(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = run(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return out.getvalue(), err.getvalue(), code
+def _parse(parser, argv, capsys):
+    try:
+        result = parser.parse_args(argv)
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
 
 
-def test_shared_parser_keeps_no_state():
-    """Requests through the one cached parser answer as a fresh parser would:
-    the golden-corpus runs, the usage errors and help, interleaved, twice."""
-    good = [argv.split() for argv in CASES.values()] + [["bounds", "--help"]]
-    vectors = [v for pair in itertools.zip_longest(good, USAGE_ERRORS) for v in pair if v]
-    fresh = []
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_one_command_parser_reads_as_the_full_one(name, capsys):
+    """run() builds the flags of the requested subcommand only; that parser
+    must parse, print help and fail exactly as the one with every flag."""
+    vectors = [
+        [name, *P, "--k", "2", "--d", "3"],
+        [name, "--q", "2", "--n", "4", "--k", "2"],
+        [name, "--help"],
+        ["--help", name],
+        [name, "--q", "2", "--bogus"],
+        [name],
+        ["nonsense", name],
+    ]
     for argv in vectors:
-        _build_parser.cache_clear()
-        fresh.append(_outcome(argv))
-    for _ in range(2):
-        assert [_outcome(argv) for argv in vectors] == fresh
-    assert _build_parser() is _build_parser()
+        assert _parse(_build_parser(name), argv, capsys) == _parse(_build_parser(), argv, capsys)
