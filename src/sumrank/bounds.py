@@ -80,7 +80,7 @@ def singleton_max_k(params: CodeParams, d: int) -> int:
     _check_d(params, d)
     first = params.n - d + 1
     second = params.eta * (params.ell * params.m - d + 1) // params.m
-    return max(0, min(first, second))
+    return min(first, second)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def sp_max_k(params: CodeParams, d: int) -> int:
     """
     ball = _sp_ball(params, d)
     ceil_log = 0 if ball == 1 else _floor_log(ball - 1, params.q**params.m) + 1
-    return max(0, params.n - ceil_log)
+    return params.n - ceil_log
 
 
 def _sp_simplified_pred(params: CodeParams, d: int):
@@ -214,7 +214,7 @@ def gv_max_k(params: CodeParams, d: int) -> int:
 
     q^{m (k-1)} ball < q^{m n} holds exactly for k <= n - floor(log_{q^m} ball).
     """
-    return max(0, params.n - _floor_log(_gv_ball(params, d), params.q**params.m))
+    return params.n - _floor_log(_gv_ball(params, d), params.q**params.m)
 
 
 def _gv_simplified_pred(params: CodeParams, d: int):

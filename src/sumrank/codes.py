@@ -44,9 +44,8 @@ class ResourceLimitError(RuntimeError):
     """An enumeration would exceed its configured cap."""
 
 
-@lru_cache(maxsize=None)
 def ambient_field(params: CodeParams) -> ExtensionField:
-    """The tower F_p < F_q < F_{q^m} for the given parameters."""
+    """The tower F_p < F_q < F_{q^m} for the given parameters, cached by ext_make."""
     p, e = prime_power(params.q)
     return ext_make(field_make(p, e), params.m)
 

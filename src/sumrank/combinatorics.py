@@ -127,23 +127,20 @@ def partitions_iter(t: int, ell: int, mu: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def gamma_q(q: int, terms: int = 64) -> float:
-    """The constant prod_{i>=1} (1 - q^-i)^-1, truncated after `terms` factors.
+def gamma_q(q: int) -> float:
+    """The constant prod_{i>=1} (1 - q^-i)^-1, as a double.
 
-    Decreasing in q with limit 1; gamma_2 ~ 3.463.  The truncation understates
-    the true value by a factor below exp(q^-terms * q/(q-1)), which is < 1e-18
-    relative at the default 64 terms.
+    Decreasing in q with limit 1; gamma_2 ~ 3.463.  The product runs up to
+    the first factor that rounds to 1.0 (i = 54 at q = 2, earlier for larger
+    q); every later factor rounds to 1.0 as well.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
     acc = 1.0
-    for i in range(1, terms + 1):
-        f = 1.0 - float(q) ** -i
-        if f == 1.0:
-            break
+    i = 1
+    while (f := 1.0 - float(q) ** -i) != 1.0:
         acc *= f
+        i += 1
     return 1.0 / acc
 
 

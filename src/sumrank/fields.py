@@ -28,8 +28,8 @@ __all__ = [
     "prime_power",
 ]
 
-# discrete-log tables (exp/log, and Zech logarithms in odd characteristic)
-# are built lazily for extension fields up to this order
+# extension fields up to this order build discrete-log tables (exp/log, and
+# Zech logarithms in odd characteristic) when they are constructed
 _TABLE_CAP = 1 << 16
 
 
@@ -260,12 +260,14 @@ class ExtensionField:
         # characteristic 2: every level's order is a power of two, so
         # digit-wise addition of the int encodings is plain XOR
         self._xor_add = self.characteristic == 2
-        # filled by _build_log_tables: exp has period order-1 and length
-        # 2*(order-1), so a sum of two logs indexes it without reduction;
+        # None above _TABLE_CAP (the raw path); else exp has period order-1 and
+        # length 2*(order-1), so a sum of two logs indexes it without reduction;
         # zech[d] = log(1 + g^d), None where 1 + g^d = 0 (odd characteristic)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._zech: list[int | None] | None = None
+        if self.order <= _TABLE_CAP:
+            self._build_log_tables()
 
     # -- encoding ----------------------------------------------------------
     def decode(self, x: int) -> list[int]:
@@ -280,21 +282,12 @@ class ExtensionField:
         return x
 
     # -- arithmetic --------------------------------------------------------
-    def _tables(self) -> bool:
-        """Whether the log tables serve the arithmetic; builds them on first
-        use.  Callers test `self._exp is None` first, so a field on the table
-        path pays one attribute check per operation."""
-        if self.order > _TABLE_CAP:
-            return False
-        self._build_log_tables()
-        return True
-
     def add(self, x: int, y: int) -> int:
         if self._xor_add:
             return x ^ y
         if not x or not y:
             return x or y
-        if self._exp is None and not self._tables():
+        if self._exp is None:
             return self._add_raw(x, y)
         # g^a + g^b = g^a (1 + g^(b-a)); a negative index wraps around zech
         lx = self._log[x]
@@ -313,7 +306,7 @@ class ExtensionField:
     def neg(self, x: int) -> int:
         if self._xor_add or not x:
             return x
-        if self._exp is None and not self._tables():
+        if self._exp is None:
             return self._neg_raw(x)
         # -1 = g^((order-1)/2) in odd characteristic
         return self._exp[self._log[x] + (self.order - 1) // 2]
@@ -325,7 +318,7 @@ class ExtensionField:
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
-        if self._exp is None and not self._tables():
+        if self._exp is None:
             return self._mul_raw(x, y)
         return self._exp[self._log[x] + self._log[y]]
 
@@ -358,7 +351,7 @@ class ExtensionField:
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self._exp is None and not self._tables():
+        if self._exp is None:
             return self._inv_raw(x)
         return self._exp[-self._log[x]]  # exp[-l] = exp[2(order-1) - l] = g^(-l)
 
@@ -387,7 +380,7 @@ class ExtensionField:
         A base scalar is encoded as itself, so on the table path the action
         is the product c*x.
         """
-        if self._exp is None and not self._tables():
+        if self._exp is None:
             B = self.base
             return self.encode(B.mul(c, a) for a in self.decode(x))
         return self._exp[self._log[c] + self._log[x]] if c and x else 0

@@ -25,11 +25,6 @@ from .combinatorics import (
 )
 from .fields import prime_power
 
-try:  # GMP-backed integers for the big tables, when installed
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover
-    _mpz = int
-
 __all__ = [
     "CodeParams",
     "VolumeTable",
@@ -89,7 +84,7 @@ class VolumeTable:
     def __init__(self, params: CodeParams):
         self.params = params
         self.radius_max = radius_max = params.ell * params.mu
-        block = [_mpz(nm_count(params.eta, params.m, s, params.q)) for s in range(params.mu + 1)]
+        block = [nm_count(params.eta, params.m, s, params.q) for s in range(params.mu + 1)]
         self._ball = list(accumulate(power_coefficients(block, params.ell, radius_max)))
 
     def sphere(self, t: int) -> int:
@@ -98,7 +93,7 @@ class VolumeTable:
     def ball(self, t: int) -> int:
         if not 0 <= t <= self.radius_max:
             raise ValueError(f"radius t={t} outside [0, {self.radius_max}]")
-        return int(self._ball[t])
+        return self._ball[t]
 
 
 @lru_cache(maxsize=32)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -195,9 +196,27 @@ def test_gamma_q_monotone_to_one():
     assert gamma_q(2**20) < 1.000002
 
 
-def test_gamma_q_truncation_stability():
-    for q in (2, 3, 5, 16):
-        assert gamma_q(q, 64) == pytest.approx(gamma_q(q, 128), rel=1e-12)
+GAMMA_Q_HEX = {
+    2: "0x1.bb3b47fe72707p+1",
+    3: "0x1.c90a3aca07649p+0",
+    4: "0x1.73cd72c48c28cp+0",
+    5: "0x1.50b1d5e923a16p+0",
+    16: "0x1.12357c080dd3ep+0",
+    2**16: "0x1.0001000200030p+0",
+}
+
+
+def test_gamma_q_exact_bits():
+    for q, want in GAMMA_Q_HEX.items():
+        g = gamma_q(q)
+        assert g.hex() == want, q
+        # exact product up to q^-terms < 2^-80, so the omitted tail is far
+        # below the float product's own rounding: at most 54 rounded factors,
+        # 53 products and one division, (2*54 + 1) * 2^-53 < 2^-46 relative
+        # (it is 7 ulp at q = 3)
+        terms = math.ceil(80 / math.log2(q)) + 1
+        exact = 1 / math.prod(1 - Fraction(1, q**i) for i in range(1, terms + 1))
+        assert abs(Fraction(g) - exact) < exact * Fraction(1, 2**46), q
     with pytest.raises(ValueError):
         gamma_q(1)
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from sumrank.fields import (
+    ExtensionField,
     ext_make,
     field_make,
     is_prime,
@@ -173,6 +174,8 @@ def test_large_order_fields_use_raw_ops_consistently():
     E13 = ext_make(field_make(2, 1), 13)
     assert E13.modulus == (1, 1, 0, 1, 1) + (0,) * 8 + (1,)
     assert E13.mul(1234, E13.inv(1234)) == 1 and E13._exp is not None
+    # fields up to the cap build their tables on construction
+    assert ExtensionField(field_make(2, 1), 16)._exp is not None
     # orders above the cap take the polynomial arithmetic path
     E17 = ext_make(field_make(2, 1), 17)
     assert E17.order == 131072

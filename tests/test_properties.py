@@ -13,6 +13,7 @@ from sumrank.bounds import (
     gv_max_k,
     gv_simplified_holds,
     gv_simplified_max_k,
+    singleton_max_k,
     sp_holds,
     sp_max_k,
     sp_simplified_holds,
@@ -157,6 +158,7 @@ def test_sphere_volume_matches_direct_sum(params):
 def test_max_k_resubstitutes(drawn):
     params, d = drawn
     n = params.n
+    assert 0 <= singleton_max_k(params, d) <= n
     solvers = [(sp_max_k, sp_holds), (gv_max_k, gv_holds),
                (sp_simplified_max_k, sp_simplified_holds)]
     if d > 2:
