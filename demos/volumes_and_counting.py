@@ -37,7 +37,7 @@ print(f"count via inclusion-exclusion: {partition_count(2, params.ell, params.mu
 print("\nsphere and ball volumes (power recurrence vs direct decomposition sum):")
 print(f"{'t':>3} {'sphere':>8} {'direct':>8} {'ball':>8}")
 total = 0
-for t in range(params.ell * params.mu + 1):
+for t in range(params.max_weight + 1):
     s = sphere_volume(params, t)
     total += s
     print(f"{t:>3} {s:>8} {sphere_volume_direct(params, t):>8} {ball_volume(params, t):>8}")
@@ -47,7 +47,7 @@ print(f"spheres partition the space: sum = {total} = q^(mn)")
 print(f"\ngamma_q constants: gamma_2={gamma_q(2):.4f}  gamma_3={gamma_q(3):.4f}  "
       f"gamma_4={gamma_q(4):.4f}")
 print("\nlog_q sandwich around the exact sphere volume:")
-for t in range(1, params.ell * params.mu + 1):
+for t in range(1, params.max_weight + 1):
     lo = sphere_lower_bound_logq(params, t)
     mid = logq_int(sphere_volume(params, t), params.q)
     hi = sphere_upper_bound_logq(params, t)

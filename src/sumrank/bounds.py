@@ -34,11 +34,6 @@ __all__ = [
 ]
 
 
-def _check_d(params: CodeParams, d: int):
-    if not 1 <= d <= params.ell * params.mu:
-        raise ValueError(f"d={d} outside [1, {params.ell * params.mu}]")
-
-
 def _check_k(params: CodeParams, k: int):
     if not 1 <= k <= params.n:
         raise ValueError(f"k={k} outside [1, {params.n}]")
@@ -77,7 +72,7 @@ def _floor_log(x: int, base: int) -> int:
 def singleton_max_k(params: CodeParams, d: int) -> int:
     """Largest dimension allowed by the sum-rank Singleton bound,
     k <= min(n - d + 1, (eta/m)(ell m - d + 1)), evaluated exactly."""
-    _check_d(params, d)
+    params.check_weight(d, low=1, name="d")
     first = params.n - d + 1
     second = params.eta * (params.ell * params.m - d + 1) // params.m
     return min(first, second)
@@ -88,23 +83,15 @@ def singleton_max_k(params: CodeParams, d: int) -> int:
 
 def _sp_ball(params: CodeParams, d: int) -> int:
     """The ball of packing radius (d-1)//2 the SP bound weighs at distance d."""
-    _check_d(params, d)
+    params.check_weight(d, low=1, name="d")
     return volume_table(params).ball((d - 1) // 2)
-
-
-def _sp_pred(params: CodeParams, d: int):
-    """The exact sphere-packing inequality at distance d, as a predicate of k."""
-    ball = _sp_ball(params, d)
-    space = params.space_size
-    q_m = params.q**params.m
-    return lambda k: q_m**k * ball <= space
 
 
 def sp_holds(params: CodeParams, k: int, d: int) -> bool:
     """Exact sphere-packing feasibility:
-    q^{m k} * ball((d-1)//2) <= q^{m n}."""
+    q^{m k} * ball((d-1)//2) <= q^{m n}, that is ball <= q^{m (n-k)}."""
     _check_k(params, k)
-    return _sp_pred(params, d)(k)
+    return _sp_ball(params, d) <= params.q ** (params.m * (params.n - k))
 
 
 def sp_max_k(params: CodeParams, d: int) -> int:
@@ -120,7 +107,7 @@ def sp_max_k(params: CodeParams, d: int) -> int:
 
 def _sp_simplified_pred(params: CodeParams, d: int):
     """The simplified sphere-packing inequality at distance d, as a predicate of k."""
-    _check_d(params, d)
+    params.check_weight(d, low=1, name="d")
     t = (d - 1) // 2
     ell, m = params.ell, params.m
     return lambda k: (
@@ -190,23 +177,15 @@ def sp_asymptotic_rate(
 
 def _gv_ball(params: CodeParams, d: int) -> int:
     """The ball of radius d-1 the GV bound weighs at distance d."""
-    _check_d(params, d)
+    params.check_weight(d, low=1, name="d")
     return volume_table(params).ball(d - 1)
-
-
-def _gv_pred(params: CodeParams, d: int):
-    """The exact GV inequality at distance d, as a predicate of k."""
-    ball = _gv_ball(params, d)
-    space = params.space_size
-    q_m = params.q**params.m
-    return lambda k: q_m ** (k - 1) * ball < space
 
 
 def gv_holds(params: CodeParams, k: int, d: int) -> bool:
     """Exact Gilbert-Varshamov existence condition:
-    q^{m (k-1)} * ball(d-1) < q^{m n}."""
+    q^{m (k-1)} * ball(d-1) < q^{m n}, that is ball < q^{m (n-k+1)}."""
     _check_k(params, k)
-    return _gv_pred(params, d)(k)
+    return _gv_ball(params, d) < params.q ** (params.m * (params.n - k + 1))
 
 
 def gv_max_k(params: CodeParams, d: int) -> int:
@@ -221,7 +200,7 @@ def _gv_simplified_pred(params: CodeParams, d: int):
     """The simplified GV condition at distance d > 2, as a predicate of k."""
     if d <= 2:
         raise ValueError(f"simplified GV bound needs d > 2, got d={d}")
-    _check_d(params, d)
+    params.check_weight(d, low=1, name="d")
     ell, m, q = params.ell, params.m, params.q
     return lambda k: (
         m * (k - 1) + math.log(d - 1) / math.log(q) + logq_int(binomial(ell + d - 2, ell - 1), q)

@@ -92,7 +92,7 @@ def _round_half_up(x: float) -> int:
 
 def _cmd_volume(args, parser):
     params = _params_from(args, parser)
-    top = params.ell * params.mu
+    top = params.max_weight
     radius = args.radius if args.radius is not None else top
     if not 0 <= radius <= top:
         parser.error(f"--radius {radius} outside [0, {top}]")
@@ -116,17 +116,22 @@ def _decimal_volume_rows(table, radius: int):
         yield [t, sphere, str(ball)]
 
 
-def _cmd_bounds(args, parser):
-    params = _params_from(args, parser)
-    d = args.d
-    row = [
-        params.q, params.m, params.eta, params.ell, params.n, d,
+def _max_ks(params: CodeParams, d: int) -> list:
+    """The Singleton, exact SP, simplified SP, exact GV and simplified GV
+    max-k at distance d; "" for simplified GV, which needs d > 2."""
+    return [
         singleton_max_k(params, d),
         sp_max_k(params, d),
         sp_simplified_max_k(params, d),
         gv_max_k(params, d),
         gv_simplified_max_k(params, d) if d > 2 else "",
     ]
+
+
+def _cmd_bounds(args, parser):
+    params = _params_from(args, parser)
+    d = args.d
+    row = [params.q, params.m, params.eta, params.ell, params.n, d, *_max_ks(params, d)]
     header = [
         "q", "m", "eta", "ell", "n", "d",
         "k_singleton", "k_sp_exact", "k_sp_simplified", "k_gv_exact", "k_gv_simplified",
@@ -149,7 +154,7 @@ def curve_rows(params: CodeParams, grid: int, asym_mode: str) -> list[list]:
     limits (xi = m/eta), "blocks" the many-blocks SP limit and the finite-n
     GV form; "" marks a cell outside its bound's domain."""
     n = params.n
-    top = params.ell * params.mu
+    top = params.max_weight
     xi = params.m / params.eta
     rows = []
     for j in range(1, grid + 1):
@@ -165,15 +170,11 @@ def curve_rows(params: CodeParams, grid: int, asym_mode: str) -> list[list]:
                 if delta * n >= 2
                 else ""
             )
+        singleton, sp, sp_s, gv, gv_s = (k / n if k != "" else "" for k in _max_ks(params, d))
         rows.append([
             delta, d,
-            singleton_max_k(params, d) / n,
-            sp_max_k(params, d) / n,
-            sp_simplified_max_k(params, d) / n,
-            _clamp01(raw_sp_a),
-            gv_max_k(params, d) / n,
-            gv_simplified_max_k(params, d) / n if d > 2 else "",
-            _clamp01(raw_gv_a) if raw_gv_a != "" else "",
+            singleton, sp, sp_s, _clamp01(raw_sp_a),
+            gv, gv_s, _clamp01(raw_gv_a) if raw_gv_a != "" else "",
             raw_sp_a,
             raw_gv_a,
         ])
@@ -246,7 +247,7 @@ def _cmd_mmin(args, parser):
 
 def _cmd_montecarlo(args, parser):
     params = _params_from(args, parser)
-    d, top = args.d, params.ell * params.mu
+    d, top = args.d, params.max_weight
     if args.predicate == "msrd":
         if d is not None:
             parser.error("--d applies only to --predicate mindist")

@@ -214,9 +214,7 @@ def is_msrd(code: LinearCode, cap: int = 200_000) -> bool:
     ResourceLimitError when the echelon enumeration would exceed the cap.
     """
     params, k = code.params, code.k
-    if not params.msrd_attainable(k):
-        raise ValueError(f"target distance n-k+1={params.n - k + 1} exceeds the largest "
-                         f"weight {params.ell * params.mu}; MSRD is unattainable")
+    params.check_msrd_attainable(k)
     count = echelon_count(params, k)
     if count > cap:
         raise ResourceLimitError(f"|echelon set| = {count} exceeds cap {cap}")

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import binomial, log2_int, q_binomial
+from .combinatorics import binomial, log2_int, logq_int, q_binomial
 from .combinatorics import gamma_q as _gamma_q
 from .fields import prime_power
 from .volumes import CodeParams, volume_table
@@ -81,19 +81,6 @@ def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-def _ln_failure(q: int, m: int, eta: int, ell: int, k: int, kind: str) -> float:
-    """ln of the failure term k C(k+ell-1, ell-1) q^e of bound A (e = eta k - m)
-    or U (e = k(eta - k/ell) - m, less ell/4 if "U-printed", times gamma_q^ell)."""
-    lnq = math.log(q)
-    ln_head = math.log(k) + log2_int(binomial(k + ell - 1, ell - 1)) * math.log(2)
-    if kind == "A":
-        return ln_head + (eta * k - m) * lnq
-    exponent = k * (eta - k / ell) - m
-    if kind == "U-printed":
-        exponent -= ell / 4
-    return ln_head + exponent * lnq + ell * math.log(_gamma_q(q))
-
-
 def _lower_only(kind: str, q: int, m: int, eta: int, ell: int, k: int) -> ProbabilityBound:
     """Bound A or U: a lower bound only, clamped from its raw value."""
     if k < 1:
@@ -103,7 +90,7 @@ def _lower_only(kind: str, q: int, m: int, eta: int, ell: int, k: int) -> Probab
             f"k={k} exceeds the largest total rank {ell * min(m, eta)}; "
             "no code of that dimension can be MSRD"
         )
-    raw = _RAW_LOWER[kind](q, m, eta, ell, k)
+    raw = _raw_lower(kind, q, eta, ell, k)(m)
     return ProbabilityBound(lower=_clamp01(raw), upper=None, raw_lower=raw)
 
 
@@ -145,30 +132,49 @@ def _ln_qexp_minus1(q: int, e: int) -> float:
     return e * lnq + math.log1p(-math.exp(-e * lnq))
 
 
-def _br_raw_lower(q: int, m: int, eta: int, ell: int, k: int) -> float:
-    """Unclamped BR lower bound
-    1 - (q^{mk}-1) / ((q^m-1)(q^{mn}-1)) * ((n-k) C(ell+n-k-1, ell-1)
-        gamma_q^ell q^{(n-k)(m+eta-(n-k)/ell)} - 1),
-    evaluated in log domain."""
-    n = ell * eta
-    w = n - k
+_KINDS = ("A", "U-lemma", "U-printed", "BR")
+
+
+def _raw_lower(kind: str, q: int, eta: int, ell: int, k: int):
+    """The unclamped lower bound of the given kind, as a function of the
+    extension degree m; the terms free of m are evaluated once, here.
+
+    A and U are 1 - exp of their log failure terms,
+      A: k C(k+ell-1, ell-1) q^{eta k - m},
+      U: k C(k+ell-1, ell-1) q^{k(eta - k/ell) - m} gamma_q^ell, with
+         ell/4 more subtracted in the exponent for "U-printed";
+    BR is
+      1 - (q^{mk}-1) / ((q^m-1)(q^{mn}-1)) * ((n-k) C(ell+n-k-1, ell-1)
+          gamma_q^ell q^{(n-k)(m+eta-(n-k)/ell)} - 1),
+    evaluated in log domain.
+    """
     lnq = math.log(q)
-    ln_ratio = (
-        _ln_qexp_minus1(q, m * k)
-        - _ln_qexp_minus1(q, m)
-        - _ln_qexp_minus1(q, m * n)
-    )
-    ln_t = (
-        math.log(w)
-        + log2_int(binomial(ell + w - 1, ell - 1)) * math.log(2)
-        + ell * math.log(_gamma_q(q))
-        + w * (m + eta - w / ell) * lnq
-    )
-    if ln_t <= 0:
-        # ball bound below 1: the subtracted term is nonpositive
-        return 1.0 - math.exp(ln_ratio) * math.expm1(ln_t)
-    ln_bracket = ln_t + math.log1p(-math.exp(-ln_t)) if ln_t < _LN_OVERFLOW else ln_t
-    return _raw_from_log_failure(ln_ratio + ln_bracket)
+    ln_gamma = ell * math.log(_gamma_q(q))
+    if kind == "BR":
+        n = ell * eta
+        w = n - k
+        ln_head = math.log(w) + log2_int(binomial(ell + w - 1, ell - 1)) * math.log(2) + ln_gamma
+
+        def raw(m: int) -> float:
+            ln_ratio = (
+                _ln_qexp_minus1(q, m * k)
+                - _ln_qexp_minus1(q, m)
+                - _ln_qexp_minus1(q, m * n)
+            )
+            ln_t = ln_head + w * (m + eta - w / ell) * lnq
+            if ln_t <= 0:
+                # ball bound below 1: the subtracted term is nonpositive
+                return 1.0 - math.exp(ln_ratio) * math.expm1(ln_t)
+            ln_bracket = ln_t + math.log1p(-math.exp(-ln_t)) if ln_t < _LN_OVERFLOW else ln_t
+            return _raw_from_log_failure(ln_ratio + ln_bracket)
+
+        return raw
+    ln_head = math.log(k) + log2_int(binomial(k + ell - 1, ell - 1)) * math.log(2)
+    if kind == "A":
+        return lambda m: _raw_from_log_failure(ln_head + (eta * k - m) * lnq)
+    rank_exponent = k * (eta - k / ell)
+    penalty = ell / 4 if kind == "U-printed" else 0
+    return lambda m: _raw_from_log_failure(ln_head + (rank_exponent - m - penalty) * lnq + ln_gamma)
 
 
 def msrd_prob_bounds_BR(
@@ -184,10 +190,8 @@ def msrd_prob_bounds_BR(
     n = params.n
     if not 1 <= k < n:
         raise ValueError(f"k={k} outside [1, {n - 1}]")
-    if not params.msrd_attainable(k):
-        raise ValueError(f"target distance n-k+1={n - k + 1} exceeds the largest "
-                         f"weight {params.ell * params.mu}; MSRD is unattainable")
-    raw = _br_raw_lower(params.q, params.m, params.eta, params.ell, k)
+    params.check_msrd_attainable(k)
+    raw = _raw_lower("BR", params.q, params.eta, params.ell, k)(params.m)
     upper = None
     if with_upper:
         upper = float(_msrd_upper_exact(params.q**params.m, n, k))
@@ -196,15 +200,6 @@ def msrd_prob_bounds_BR(
         upper=upper,
         raw_lower=raw,
     )
-
-
-# bound kind -> unclamped lower bound as a function of (q, m, eta, ell, k)
-_RAW_LOWER = {
-    "A": lambda *a: _raw_from_log_failure(_ln_failure(*a, "A")),
-    "U-lemma": lambda *a: _raw_from_log_failure(_ln_failure(*a, "U-lemma")),
-    "U-printed": lambda *a: _raw_from_log_failure(_ln_failure(*a, "U-printed")),
-    "BR": _br_raw_lower,
-}
 
 
 def min_extension_degree(
@@ -220,16 +215,15 @@ def min_extension_degree(
     prime_power(q)  # raises for non-prime-powers
     if m_cap < 1:
         raise ValueError(f"m_cap={m_cap} must be >= 1")
-    if bound_kind not in _RAW_LOWER:
-        raise ValueError(f"bound_kind must be one of {tuple(_RAW_LOWER)}, got {bound_kind!r}")
+    if bound_kind not in _KINDS:
+        raise ValueError(f"bound_kind must be one of {_KINDS}, got {bound_kind!r}")
     if n % ell:
         raise ValueError(f"ell={ell} does not divide n={n}")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
     if bound_kind == "BR" and k >= n:
         raise ValueError("BR bound needs k < n")
-    eta = n // ell
-    raw = lambda m: _RAW_LOWER[bound_kind](q, m, eta, ell, k)
+    raw = _raw_lower(bound_kind, q, n // ell, ell, k)
 
     hi = 1
     while raw(hi) <= 0:
@@ -246,18 +240,12 @@ def min_extension_degree(
     return hi
 
 
-def _logq_ball(params: CodeParams, d: int) -> float:
-    """log_q of ball(d-1), from its bit length."""
-    ball = volume_table(params).ball(d - 1)
-    return log2_int(ball) / math.log2(params.q) if ball > 1 else 0.0
-
-
 def gv_attainment_epsilon_max(params: CodeParams, d: int) -> float:
     """Right endpoint of the admissible interval for epsilon:
     1 - log_q(ball(d-1)) / (m n) - 1/n."""
-    if not 1 <= d <= params.ell * params.mu:
-        raise ValueError(f"d={d} outside [1, {params.ell * params.mu}]")
-    return 1 - _logq_ball(params, d) / (params.m * params.n) - 1 / params.n
+    params.check_weight(d, low=1, name="d")
+    logq_ball = logq_int(volume_table(params).ball(d - 1), params.q)
+    return 1 - logq_ball / (params.m * params.n) - 1 / params.n
 
 
 def gv_attainment_dimension(
@@ -269,5 +257,6 @@ def gv_attainment_dimension(
     eps_max = gv_attainment_epsilon_max(params, d)
     if not 0 < epsilon <= eps_max:
         raise ValueError(f"epsilon={epsilon} outside (0, {eps_max}]")
-    k = math.floor(params.n * (1 - _logq_ball(params, d) / (params.m * params.n) - epsilon))
+    logq_ball = logq_int(volume_table(params).ball(d - 1), params.q)
+    k = math.floor(params.n * (1 - logq_ball / (params.m * params.n) - epsilon))
     return GvAttainment(epsilon=epsilon, k=k)

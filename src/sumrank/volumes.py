@@ -64,13 +64,30 @@ class CodeParams:
         return min(self.m, self.eta)
 
     @property
+    def max_weight(self) -> int:
+        """The largest sum-rank weight of a word, ell*mu."""
+        return self.ell * self.mu
+
+    @property
     def space_size(self) -> int:
         """Number of words in the ambient space, q^(m n)."""
         return self.q ** (self.m * self.n)
 
+    def check_weight(self, t: int, low: int = 0, name: str = "radius t"):
+        """Raise ValueError unless the weight t (a radius or a distance) lies
+        in [low, max_weight]."""
+        if not low <= t <= self.max_weight:
+            raise ValueError(f"{name}={t} outside [{low}, {self.max_weight}]")
+
     def msrd_attainable(self, k: int) -> bool:
         """Whether an [n, k] code can be MSRD: n - k + 1 <= ell*mu."""
-        return self.n - k + 1 <= self.ell * self.mu
+        return self.n - k + 1 <= self.max_weight
+
+    def check_msrd_attainable(self, k: int):
+        """Raise ValueError unless an [n, k] code can be MSRD."""
+        if not self.msrd_attainable(k):
+            raise ValueError(f"target distance n-k+1={self.n - k + 1} exceeds the largest "
+                             f"weight {self.max_weight}; MSRD is unattainable")
 
 
 class VolumeTable:
@@ -83,7 +100,7 @@ class VolumeTable:
 
     def __init__(self, params: CodeParams):
         self.params = params
-        self.radius_max = radius_max = params.ell * params.mu
+        self.radius_max = radius_max = params.max_weight
         block = [nm_count(params.eta, params.m, s, params.q) for s in range(params.mu + 1)]
         self._ball = list(accumulate(power_coefficients(block, params.ell, radius_max)))
 
@@ -91,8 +108,7 @@ class VolumeTable:
         return self.ball(t) - (self.ball(t - 1) if t else 0)
 
     def ball(self, t: int) -> int:
-        if not 0 <= t <= self.radius_max:
-            raise ValueError(f"radius t={t} outside [0, {self.radius_max}]")
+        self.params.check_weight(t)
         return self._ball[t]
 
 
@@ -118,8 +134,7 @@ def sphere_volume_direct(params: CodeParams, t: int) -> int:
     sum over (t_1..t_ell), 0 <= t_i <= mu, sum t_i = t, of
     prod_i nm_count(eta, m, t_i); independent oracle for sphere_volume.
     """
-    if not 0 <= t <= params.ell * params.mu:
-        raise ValueError(f"radius t={t} outside [0, {params.ell * params.mu}]")
+    params.check_weight(t)
     block = [nm_count(params.eta, params.m, s, params.q) for s in range(params.mu + 1)]
     return sum(math.prod(block[s] for s in parts) for parts in partitions_iter(t, params.ell, params.mu))
 
@@ -131,8 +146,7 @@ def sphere_lower_bound_logq(params: CodeParams, t: int) -> float:
     When ell divides t the quasi-uniform weight decomposition is exact and the
     ell/4 penalty is dropped.
     """
-    if not 1 <= t <= params.ell * params.mu:
-        raise ValueError(f"radius t={t} outside [1, {params.ell * params.mu}]")
+    params.check_weight(t, low=1)
     ell = params.ell
     exponent = (params.m + params.eta - t / ell) * t - ell * log_gamma_q(params.q)
     if t % ell:
@@ -143,8 +157,7 @@ def sphere_lower_bound_logq(params: CodeParams, t: int) -> float:
 def sphere_upper_bound_logq(params: CodeParams, t: int) -> float:
     """log_q of the sphere-volume upper bound
     C(ell + t - 1, ell - 1) * gamma_q^ell * q^{t (m + eta - t/ell)}."""
-    if not 0 <= t <= params.ell * params.mu:
-        raise ValueError(f"radius t={t} outside [0, {params.ell * params.mu}]")
+    params.check_weight(t)
     ell = params.ell
     return (
         logq_int(binomial(ell + t - 1, ell - 1), params.q)

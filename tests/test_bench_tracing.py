@@ -65,6 +65,36 @@ def test_traced_requests_count_every_exact_layer(capsys):
     assert builds and all(tracer._has_ancestor(i, ("fields.ambient_field",)) for i in builds)
 
 
+def test_tiny_requests_fire_every_traced_binding(capsys):
+    """Seven tiny requests, one per call path of the CLI, pass through every
+    binding the tracer wraps except those it lists as unreached; a refactor
+    that stops calling one (so that its wrapper times nothing) shows here."""
+    tracing = _load_bench("tracing")
+    sumrank.volumes.volume_table.cache_clear()  # tables are built, nm_count runs
+    sumrank.fields.ext_make.cache_clear()  # fields are built, log tables too
+    P = ["--q", "2", "--m", "2", "--eta", "2", "--ell", "2"]
+    requests = [
+        ["volume", *P],
+        ["bounds", *P, "--d", "3"],
+        ["curve-sp-gv", *P, "--grid", "4"],
+        ["genericity", *P, "--k", "2", "--with-br-upper"],
+        ["mmin", "--q", "2", "--n", "4", "--k", "2"],
+        ["montecarlo", *P, "--k", "2", "--trials", "2", "--seed", "1"],
+        ["montecarlo", *P, "--k", "1", "--trials", "2", "--seed", "1", "--predicate", "mindist", "--d", "2"],
+    ]
+    tracer = tracing.Tracer()
+    tracer.install()
+    tracer.active = True
+    try:
+        for argv in requests:
+            assert sumrank.cli.run(argv) == 0, argv
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    capsys.readouterr()
+    assert set(tracer.bindings()) - tracer.fired - tracing.UNREACHED == set()
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int->str digit limit")
 def test_run_leaves_the_digit_limit_lifted_for_the_bench_checker(capsys):
     # bench/checks.py reads volume cells with int(), and balls here pass

@@ -4,9 +4,7 @@ import pytest
 
 from sumrank.bounds import (
     _floor_log,
-    _gv_pred,
     _largest_k,
-    _sp_pred,
     gv_asymptotic_rate,
     gv_holds,
     gv_max_k,
@@ -138,8 +136,8 @@ ORACLE_SETS = GRID + [
 @pytest.mark.parametrize("params", ORACLE_SETS, ids=str)
 def test_max_k_closed_form_matches_binary_search(params):
     for d in range(1, params.ell * params.mu + 1):
-        assert sp_max_k(params, d) == _largest_k(_sp_pred(params, d), params.n), d
-        assert gv_max_k(params, d) == _largest_k(_gv_pred(params, d), params.n), d
+        assert sp_max_k(params, d) == _largest_k(lambda k: sp_holds(params, k, d), params.n), d
+        assert gv_max_k(params, d) == _largest_k(lambda k: gv_holds(params, k, d), params.n), d
 
 
 @pytest.mark.parametrize("base", [2, 3, 2**16, 3**10, 16**32], ids=["2", "3", "2^16", "3^10", "16^32"])

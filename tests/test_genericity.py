@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import sumrank.genericity
 from sumrank.bounds import gv_holds
 from sumrank.combinatorics import binomial, gamma_q, q_binomial
 from sumrank.genericity import (
@@ -193,6 +194,21 @@ def test_min_extension_degree_cap_and_validation():
     for q in (1, 6):  # not prime powers
         with pytest.raises(ValueError):
             min_extension_degree(q, 8, 2, 1, "A")
+
+
+@pytest.mark.parametrize("kind", ["A", "U-lemma", "U-printed", "BR"])
+@pytest.mark.parametrize("ell", [1, 8, 20000])
+def test_min_extension_degree_forms_its_binomial_once(monkeypatch, kind, ell):
+    # the binomial of each bound is free of m: one per search, not one per m
+    calls = []
+
+    def counting_binomial(n, k):
+        calls.append((n, k))
+        return binomial(n, k)
+
+    monkeypatch.setattr(sumrank.genericity, "binomial", counting_binomial)
+    assert min_extension_degree(2, 20000, 5, ell, kind) is not None
+    assert len(calls) == 1, calls
 
 
 def test_min_extension_degree_crossover_small():

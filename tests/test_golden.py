@@ -1,4 +1,4 @@
-"""Byte-exact golden corpus: the stdout of CLI runs and of demos/bound_curves.py.
+"""Byte-exact golden corpus: the stdout of CLI runs and of the four demos.
 
 Every case must print exactly the bytes stored in tests/golden/<name>.out.
 After a change that alters output on purpose, re-record the corpus with
@@ -20,7 +20,14 @@ from sumrank.cli import run
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
-DEMO = os.path.join(HERE, os.pardir, "demos", "bound_curves.py")
+DEMOS = os.path.join(HERE, os.pardir, "demos")
+# golden name -> demo script, each run with no arguments
+DEMO_CASES = {
+    "demo_bound_curves": "bound_curves.py",
+    "demo_volumes_and_counting": "volumes_and_counting.py",
+    "demo_msrd_genericity": "msrd_genericity.py",
+    "demo_random_code_experiments": "random_code_experiments.py",
+}
 
 P = "--q 2 --m 2 --eta 2 --ell 2"
 CASES = {
@@ -40,6 +47,8 @@ CASES = {
     "volume_radius0": f"volume {P} --radius 0",
     "genericity_no_br": f"genericity {P} --k 4",
     "mmin_bounds_A": "mmin --q 2 --n 8 --k 2 --bounds A",
+    # 30 divisors ell of n, each an m-search over a BR bound with large binomials
+    "mmin_bounds_BR_n20000": "mmin --q 2 --n 20000 --k 5 --bounds BR",
     "curve_grid1": f"curve-sp-gv {P} --grid 1",
     "montecarlo_mindist": f"montecarlo {P} --k 1 --trials 20 --seed 3 --predicate mindist --d 3",
 }
@@ -52,12 +61,13 @@ def _cli_output(argv: str) -> str:
     return buf.getvalue()
 
 
-def _demo_output() -> str:
+def _demo_output(script: str) -> str:
+    path = os.path.join(DEMOS, script)
     buf = io.StringIO()
-    argv, sys.argv = sys.argv, [DEMO]
+    argv, sys.argv = sys.argv, [path]
     try:
         with contextlib.redirect_stdout(buf):
-            runpy.run_path(DEMO, run_name="__main__")
+            runpy.run_path(path, run_name="__main__")
     finally:
         sys.argv = argv
     return buf.getvalue()
@@ -74,13 +84,18 @@ def test_cli_matches_golden(name):
 
 
 def test_bound_curves_demo_matches_golden():
-    assert _demo_output() == _expected("demo_bound_curves")
+    assert _demo_output(DEMO_CASES["demo_bound_curves"]) == _expected("demo_bound_curves")
+
+
+@pytest.mark.parametrize("name", sorted(set(DEMO_CASES) - {"demo_bound_curves"}))
+def test_demo_matches_golden(name):
+    assert _demo_output(DEMO_CASES[name]) == _expected(name)
 
 
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
     outputs = {name: _cli_output(argv) for name, argv in CASES.items()}
-    outputs["demo_bound_curves"] = _demo_output()
+    outputs.update((name, _demo_output(script)) for name, script in DEMO_CASES.items())
     for name, text in outputs.items():
         with open(os.path.join(GOLDEN, f"{name}.out"), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

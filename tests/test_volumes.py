@@ -1,8 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
+from sumrank import bounds
+from sumrank.codes import is_msrd, random_systematic_code
 from sumrank.combinatorics import binomial, gamma_q, log_gamma_q, logq_int, nm_count
+from sumrank.genericity import gv_attainment_dimension, gv_attainment_epsilon_max, msrd_prob_bounds_BR
 from sumrank.volumes import (
     CodeParams,
     ball_volume,
@@ -150,3 +154,58 @@ def test_upper_bound_at_zero_radius():
 
 def test_volume_table_cache_returns_same_object():
     assert volume_table(P2222) is volume_table(CodeParams(q=2, m=2, eta=2, ell=2))
+
+
+# Every entry point that takes a radius or a distance, as (call, lowest
+# weight, name in the message).  The simplified GV bound rejects d <= 2 with a
+# message of its own before the weight check.
+WEIGHT_ENTRY_POINTS = {
+    "VolumeTable.ball": (lambda p, t: volume_table(p).ball(t), 0, "radius t"),
+    "sphere_volume": (sphere_volume, 0, "radius t"),
+    "ball_volume": (ball_volume, 0, "radius t"),
+    "sphere_volume_direct": (sphere_volume_direct, 0, "radius t"),
+    "sphere_lower_bound_logq": (sphere_lower_bound_logq, 1, "radius t"),
+    "sphere_upper_bound_logq": (sphere_upper_bound_logq, 0, "radius t"),
+    **{name: (getattr(bounds, name), 1, "d") for name in (
+        "singleton_max_k", "sp_max_k", "sp_simplified_max_k", "gv_max_k", "gv_simplified_max_k")},
+    **{name: (lambda p, d, f=getattr(bounds, name): f(p, 1, d), 1, "d") for name in (
+        "sp_holds", "sp_simplified_holds", "gv_holds", "gv_simplified_holds")},
+    "gv_attainment_epsilon_max": (gv_attainment_epsilon_max, 1, "d"),
+    "gv_attainment_dimension": (lambda p, d: gv_attainment_dimension(p, d, 1e-9), 1, "d"),
+}
+
+
+def _error(call, params, t):
+    """The message of the ValueError that call(params, t) raises, or None."""
+    try:
+        call(params, t)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("params", [P2222, CodeParams(q=3, m=2, eta=3, ell=2)], ids=str)
+@pytest.mark.parametrize("entry", sorted(WEIGHT_ENTRY_POINTS))
+def test_weight_domain_boundaries(entry, params):
+    call, low, name = WEIGHT_ENTRY_POINTS[entry]
+    top = params.max_weight
+    assert top == params.ell * params.mu
+    # at the top weight only a check of another argument may fail (at the
+    # top distance the GV-attainment epsilon interval is empty)
+    error = _error(call, params, top)
+    assert error is None or not error.startswith(f"{name}="), error
+    assert _error(call, params, top + 1) == f"{name}={top + 1} outside [{low}, {top}]"
+    below = (f"simplified GV bound needs d > 2, got d={low - 1}" if "gv_simplified" in entry
+             else f"{name}={low - 1} outside [{low}, {top}]")
+    assert _error(call, params, low - 1) == below
+
+
+def test_unattainable_msrd_message_is_shared():
+    params = CodeParams(q=2, m=1, eta=2, ell=2)  # largest weight 2 < n - k + 1 = 4
+    code = random_systematic_code(params, 1, np.random.default_rng(0))
+    message = "target distance n-k+1=4 exceeds the largest weight 2; MSRD is unattainable"
+    with pytest.raises(ValueError) as from_codes:
+        is_msrd(code)
+    with pytest.raises(ValueError) as from_genericity:
+        msrd_prob_bounds_BR(params, 1)
+    assert str(from_codes.value) == str(from_genericity.value) == message
