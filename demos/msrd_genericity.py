@@ -26,10 +26,10 @@ parser.add_argument("--full", action="store_true", help="q=4, n=512, k=128 sweep
 args = parser.parse_args()
 
 print("probability bounds at q=2, m=12, eta=2, ell=4, k=4:")
-q, m, eta, ell, k = 2, 12, 2, 4, 4
-a = msrd_prob_lb_A(q, m, eta, ell, k)
-u = msrd_prob_lb_U(q, m, eta, ell, k)
-br = msrd_prob_bounds_BR(CodeParams(q=q, m=m, eta=eta, ell=ell), k, with_upper=False)
+params, k = CodeParams(q=2, m=12, eta=2, ell=4), 4
+a = msrd_prob_lb_A(params, k)
+u = msrd_prob_lb_U(params, k)
+br = msrd_prob_bounds_BR(params, k, with_upper=False)
 print(f"  raw-count lower bound      : {a.lower:.6f} (raw {a.raw_lower:+.6f})")
 print(f"  echelon-count lower bound  : {u.lower:.6f} (raw {u.raw_lower:+.6f})")
 print(f"  subspace-density lower     : {br.lower:.6f} (raw {br.raw_lower:+.6f})")

@@ -38,7 +38,7 @@ print("\n== MSRD genericity ==")
 q, eta, ell, k = 2, 2, 2, 2
 for m in (6, 8, 10, 12):
     p = CodeParams(q=q, m=m, eta=eta, ell=ell)
-    lb = msrd_prob_lb_A(q, m, eta, ell, k)
+    lb = msrd_prob_lb_A(p, k)
     res = monte_carlo(p, k, 300, 7, is_msrd)
     print(f"m={m:>2}: theoretical lower bound {max(lb.raw_lower, 0):.4f} "
           f"(raw {lb.raw_lower:+.4f}), empirical {res.estimate:.4f}")

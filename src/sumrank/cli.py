@@ -21,6 +21,7 @@ import csv
 import decimal
 import io
 import json
+import math
 import sys
 
 from .bounds import (
@@ -35,6 +36,7 @@ from .bounds import (
 from .codes import ResourceLimitError, is_msrd, min_distance_bruteforce, monte_carlo
 from .fields import prime_power
 from .genericity import (
+    _KINDS,
     _clamp01,
     min_extension_degree,
     msrd_prob_bounds_BR,
@@ -80,7 +82,10 @@ def _add_output_flags(sub):
 
 
 def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The divisors of n >= 1 in increasing order, as pairs d, n // d with d <= sqrt(n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    large = [n // d for d in reversed(small) if d * d != n]
+    return small + large
 
 
 def _round_half_up(x: float) -> int:
@@ -191,9 +196,9 @@ def _cmd_curve(args, parser):
 def _cmd_genericity(args, parser):
     params = _params_from(args, parser)
     k = args.k
-    a = msrd_prob_lb_A(params.q, params.m, params.eta, params.ell, k)
-    u_lemma = msrd_prob_lb_U(params.q, params.m, params.eta, params.ell, k, "lemma")
-    u_printed = msrd_prob_lb_U(params.q, params.m, params.eta, params.ell, k, "printed")
+    a = msrd_prob_lb_A(params, k)
+    u_lemma = msrd_prob_lb_U(params, k, "lemma")
+    u_printed = msrd_prob_lb_U(params, k, "printed")
     br_cells = ["", "", ""]
     if 1 <= k < params.n and params.msrd_attainable(k):
         br = msrd_prob_bounds_BR(params, k, with_upper=args.with_br_upper)
@@ -227,22 +232,15 @@ def _cmd_mmin(args, parser):
         parser.error(f"--k {args.k} outside [1, {args.n}]")
     if args.m_cap < 1:
         parser.error(f"--m-cap {args.m_cap} must be >= 1")
+    # a --bounds entry names its kinds up to the first "-": U is both U variants
+    wanted = [kind for kind in _KINDS
+              if kind.split("-")[0] in kinds and (kind != "BR" or args.k < args.n)]
     rows = []
     for ell in _divisors(args.n):
-        cells = {name: "" for name in ("A", "U-lemma", "U-printed", "BR")}
-        if "A" in kinds:
-            cells["A"] = min_extension_degree(args.q, args.n, args.k, ell, "A", args.m_cap)
-        if "U" in kinds:
-            cells["U-lemma"] = min_extension_degree(args.q, args.n, args.k, ell, "U-lemma", args.m_cap)
-            cells["U-printed"] = min_extension_degree(args.q, args.n, args.k, ell, "U-printed", args.m_cap)
-        if "BR" in kinds and args.k < args.n:
-            cells["BR"] = min_extension_degree(args.q, args.n, args.k, ell, "BR", args.m_cap)
-        rows.append([
-            ell,
-            *(-1 if cells[name] is None else cells[name]
-              for name in ("A", "U-lemma", "U-printed", "BR")),
-        ])
-    return ["ell", "mmin_A", "mmin_U_lemma", "mmin_U_printed", "mmin_BR"], rows
+        mmins = (min_extension_degree(args.q, args.n, args.k, ell, kind, args.m_cap)
+                 if kind in wanted else "" for kind in _KINDS)
+        rows.append([ell, *(-1 if m is None else m for m in mmins)])
+    return ["ell", *(f"mmin_{kind.replace('-', '_')}" for kind in _KINDS)], rows
 
 
 def _cmd_montecarlo(args, parser):

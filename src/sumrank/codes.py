@@ -199,8 +199,8 @@ def echelon_blocks_iter(params: CodeParams, t: int) -> Iterator[tuple]:
     rank t exactly once (outer order: lexicographic weight decompositions),
     as the tuple of its ell diagonal blocks: block i is a full-rank
     reduced-row-echelon t_i x eta matrix (a tuple of rows), empty if t_i = 0."""
-    if not 0 <= t <= params.ell * params.eta:
-        raise ValueError(f"t={t} outside [0, {params.ell * params.eta}]")
+    if not 0 <= t <= params.n:
+        raise ValueError(f"t={t} outside [0, {params.n}]")
     for parts in partitions_iter(t, params.ell, min(params.eta, t)):
         yield from itertools.product(*(_rref_full_rank(params.eta, r, params.q) for r in parts))
 

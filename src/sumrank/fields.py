@@ -93,11 +93,6 @@ class PrimeField:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return pow(a, self.p - 2, self.p)
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
-        return pow(a, e, self.p)
-
     def elements(self) -> range:
         return range(self.p)
 
@@ -140,9 +135,9 @@ def _poly_mul(F, f: Sequence[int], g: Sequence[int]) -> list[int]:
     for i, a in enumerate(f):
         if a == 0:
             continue
-        for j, b in enumerate(g):
+        for j, b in enumerate(g, i):
             if b:
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
+                out[j] = F.add(out[j], F.mul(a, b))
     return _poly_trim(out)
 
 
@@ -153,14 +148,17 @@ def _poly_divmod(F, f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list
     dg = len(g) - 1
     lead_inv = F.inv(g[-1])
     quo = [0] * max(0, len(rem) - dg)
-    while len(rem) - 1 >= dg and rem:
-        shift = len(rem) - 1 - dg
-        c = F.mul(rem[-1], lead_inv)
-        quo[shift] = c
-        for j, gc in enumerate(g):
-            rem[shift + j] = F.sub(rem[shift + j], F.mul(c, gc))
-        _poly_trim(rem)
-    return _poly_trim(quo), rem
+    low = g[:-1]  # each step cancels the top coefficient, which is popped
+    for shift in reversed(range(len(quo))):
+        c = rem.pop()
+        if c:
+            if lead_inv != 1:  # a monic divisor needs no scaling
+                c = F.mul(c, lead_inv)
+            quo[shift] = c
+            for j, gc in enumerate(low, shift):
+                if gc:
+                    rem[j] = F.sub(rem[j], F.mul(c, gc))
+    return _poly_trim(quo), _poly_trim(rem)
 
 
 def _poly_mod(F, f: Sequence[int], g: Sequence[int]) -> list[int]:
@@ -323,30 +321,8 @@ class ExtensionField:
         return self._exp[self._log[x] + self._log[y]]
 
     def _mul_raw(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
-            return 0
         B = self.base
-        f, g = self.decode(x), self.decode(y)
-        prod = [0] * (2 * self.degree - 1)
-        for i, a in enumerate(f):
-            if a == 0:
-                continue
-            for j, b in enumerate(g):
-                if b:
-                    prod[i + j] = B.add(prod[i + j], B.mul(a, b))
-        # reduce modulo the monic modulus
-        for i in range(len(prod) - 1, self.degree - 1, -1):
-            c = prod[i]
-            if c == 0:
-                continue
-            prod[i] = 0
-            for j in range(self.degree):
-                mc = self.modulus[j]
-                if mc:
-                    prod[i - self.degree + j] = B.sub(
-                        prod[i - self.degree + j], B.mul(c, mc)
-                    )
-        return self.encode(prod[: self.degree])
+        return self.encode(_poly_mod(B, _poly_mul(B, self.decode(x), self.decode(y)), self.modulus))
 
     def inv(self, x: int) -> int:
         if x == 0:

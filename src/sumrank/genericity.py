@@ -81,28 +81,26 @@ def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-def _lower_only(kind: str, q: int, m: int, eta: int, ell: int, k: int) -> ProbabilityBound:
+def _lower_only(kind: str, params: CodeParams, k: int) -> ProbabilityBound:
     """Bound A or U: a lower bound only, clamped from its raw value."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > ell * min(m, eta):
+    if k > params.max_weight:
         raise ValueError(
-            f"k={k} exceeds the largest total rank {ell * min(m, eta)}; "
+            f"k={k} exceeds the largest total rank {params.max_weight}; "
             "no code of that dimension can be MSRD"
         )
-    raw = _raw_lower(kind, q, eta, ell, k)(m)
+    raw = _raw_lower(kind, params.q, params.eta, params.ell, k)(params.m)
     return ProbabilityBound(lower=_clamp01(raw), upper=None, raw_lower=raw)
 
 
-def msrd_prob_lb_A(q: int, m: int, eta: int, ell: int, k: int) -> ProbabilityBound:
+def msrd_prob_lb_A(params: CodeParams, k: int) -> ProbabilityBound:
     """Lower bound 1 - k C(k+ell-1, ell-1) q^{eta k - m} on the probability
     that a uniform systematic [n, k] code (n = ell*eta) is MSRD."""
-    return _lower_only("A", q, m, eta, ell, k)
+    return _lower_only("A", params, k)
 
 
-def msrd_prob_lb_U(
-    q: int, m: int, eta: int, ell: int, k: int, variant: str = "lemma"
-) -> ProbabilityBound:
+def msrd_prob_lb_U(params: CodeParams, k: int, variant: str = "lemma") -> ProbabilityBound:
     """Lower bound on the MSRD probability via echelon-form counting:
     1 - k C(k+ell-1, ell-1) q^{k(eta - k/ell) - m} gamma_q^ell.
 
@@ -112,7 +110,7 @@ def msrd_prob_lb_U(
     """
     if variant not in ("lemma", "printed"):
         raise ValueError(f"variant must be 'lemma' or 'printed', got {variant!r}")
-    return _lower_only(f"U-{variant}", q, m, eta, ell, k)
+    return _lower_only(f"U-{variant}", params, k)
 
 
 def _msrd_upper_exact(Q: int, n: int, k: int) -> Fraction:
@@ -208,9 +206,8 @@ def min_extension_degree(
     """Smallest extension degree m for which the chosen MSRD lower bound is
     positive, or None if no m <= m_cap works.
 
-    bound_kind is one of "A", "U-lemma", "U-printed", "BR".  Each raw bound is
-    increasing in m, so an exponential-then-binary search applies.  m_cap
-    must be at least 1.
+    bound_kind is one of _KINDS.  Each raw bound is increasing in m, so an
+    exponential-then-binary search applies.  m_cap must be at least 1.
     """
     prime_power(q)  # raises for non-prime-powers
     if m_cap < 1:

@@ -313,8 +313,8 @@ def test_criterion_8_msrd_census():
         from sumrank.combinatorics import q_binomial
 
         frac_all = msrd / q_binomial(params.n, k, Q)
-        a = msrd_prob_lb_A(params.q, params.m, params.eta, params.ell, k)
-        u = msrd_prob_lb_U(params.q, params.m, params.eta, params.ell, k)
+        a = msrd_prob_lb_A(params, k)
+        u = msrd_prob_lb_U(params, k)
         br = msrd_prob_bounds_BR(params, k)
         assert frac_sys >= a.lower
         assert frac_sys >= u.lower
@@ -332,10 +332,11 @@ def test_criterion_9_monte_carlo_genericity():
     start = time.monotonic()
     q, eta, ell, k = 2, 2, 2, 2
     m = next(
-        mm for mm in range(1, 64) if msrd_prob_lb_A(q, mm, eta, ell, k).lower >= 0.9
+        mm for mm in range(1, 64)
+        if msrd_prob_lb_A(CodeParams(q=q, m=mm, eta=eta, ell=ell), k).lower >= 0.9
     )
     params = CodeParams(q=q, m=m, eta=eta, ell=ell)
-    lb = msrd_prob_lb_A(q, m, eta, ell, k).lower
+    lb = msrd_prob_lb_A(params, k).lower
     res = monte_carlo(params, k, 500, 20240801, is_msrd)
     res2 = monte_carlo(params, k, 500, 20240801, is_msrd)
     assert res == res2  # deterministic under a fixed seed

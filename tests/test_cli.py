@@ -5,7 +5,7 @@ import io
 import pytest
 
 from sumrank.bounds import gv_max_k, singleton_max_k, sp_max_k, sp_simplified_max_k
-from sumrank.cli import _COMMANDS, _build_parser, run
+from sumrank.cli import _COMMANDS, _build_parser, _divisors, run
 from sumrank.codes import is_msrd, monte_carlo
 from sumrank.genericity import min_extension_degree, msrd_prob_lb_A
 from sumrank.volumes import CodeParams, volume_table
@@ -96,7 +96,7 @@ def test_genericity_columns(capsys):
     assert code == 0
     header, row = _rows(out)
     vals = dict(zip(header, row))
-    lb = msrd_prob_lb_A(2, 6, 2, 2, 2)
+    lb = msrd_prob_lb_A(CodeParams(q=2, m=6, eta=2, ell=2), 2)
     assert float(vals["raw_A"]) == pytest.approx(lb.raw_lower)
     assert float(vals["p_A"]) == pytest.approx(lb.lower)
     assert vals["p_BR_upper"] != ""
@@ -113,6 +113,11 @@ def test_mmin_matches_library(capsys):
         assert int(row[1]) == min_extension_degree(2, 8, 2, ell, "A")
         assert int(row[2]) == min_extension_degree(2, 8, 2, ell, "U-lemma")
     assert [int(r[0]) for r in rows[1:]] == [1, 2, 4, 8]
+
+
+def test_divisors_match_linear_scan():
+    for n in range(1, 5001):
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
 
 
 def test_mmin_subset_of_bounds(capsys):

@@ -297,7 +297,7 @@ def test_monte_carlo_contracts():
 
 def test_monte_carlo_msrd_frequency_vs_bound():
     params = CodeParams(q=2, m=10, eta=2, ell=2)
-    lb = msrd_prob_lb_A(2, 10, 2, 2, 2).lower
+    lb = msrd_prob_lb_A(params, 2).lower
     assert lb >= 0.9
     res = monte_carlo(params, 2, 200, 2024, is_msrd)
     assert res.estimate >= lb - 3 * math.sqrt(0.25 / 200)

@@ -79,6 +79,19 @@ def test_f4_modulus_is_smallest_irreducible():
     _check_field_axioms(F4)
 
 
+def test_f256_is_the_aes_field():
+    # x^8 + x^4 + x^3 + x + 1 is the AES modulus, and a byte's bit i is its
+    # coefficient of x^i in both encodings, so published AES values apply:
+    # the two products are worked examples of FIPS-197 (section 4.2) and
+    # {53}^-1 = {ca} is the usual example of an inverse in that field
+    F = ext_make(field_make(2, 1), 8)
+    assert F.modulus == (1, 1, 0, 1, 1, 0, 0, 0, 1)
+    for mul, inv in ((F.mul, F.inv), (F._mul_raw, F._inv_raw)):
+        assert mul(0x57, 0x83) == 0xC1
+        assert mul(0x57, 0x13) == 0xFE
+        assert inv(0x53) == 0xCA
+
+
 @pytest.mark.parametrize(
     "p,e", [(2, 2), (2, 3), (2, 4), (3, 2), (5, 1), (7, 1)]
 )

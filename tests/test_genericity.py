@@ -32,7 +32,7 @@ def test_probability_bound_invariant():
 def test_lb_A_single_block_form():
     # ell = 1 reduces to 1 - k q^{eta k - m}
     for q, eta, k, m in [(2, 3, 2, 10), (3, 2, 2, 9), (4, 2, 1, 7)]:
-        got = msrd_prob_lb_A(q, m, eta, 1, k)
+        got = msrd_prob_lb_A(CodeParams(q=q, m=m, eta=eta, ell=1), k)
         expected = 1 - k * float(q) ** (eta * k - m)
         assert got.raw_lower == pytest.approx(expected, rel=1e-12)
         assert got.lower == pytest.approx(max(0.0, expected), rel=1e-12)
@@ -41,29 +41,42 @@ def test_lb_A_single_block_form():
 def test_lb_A_tends_to_one_and_monotone():
     prev = -math.inf
     for m in (8, 16, 32, 64, 256):
-        r = msrd_prob_lb_A(2, m, 2, 2, 2).raw_lower
+        r = msrd_prob_lb_A(CodeParams(q=2, m=m, eta=2, ell=2), 2).raw_lower
         assert r >= prev
         prev = r
-    assert msrd_prob_lb_A(2, 10**6, 2, 2, 2).lower == 1.0
-    assert msrd_prob_lb_U(2, 10**6, 2, 2, 2).lower == 1.0
-    with pytest.raises(ValueError):
-        msrd_prob_lb_A(2, 4, 2, 2, 0)
-    with pytest.raises(ValueError):
-        msrd_prob_lb_A(2, 4, 2, 2, 5)  # k above ell*mu
+    huge_m = CodeParams(q=2, m=10**6, eta=2, ell=2)
+    assert msrd_prob_lb_A(huge_m, 2).lower == 1.0
+    assert msrd_prob_lb_U(huge_m, 2).lower == 1.0
+    params = CodeParams(q=2, m=4, eta=2, ell=2)
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        msrd_prob_lb_A(params, 0)
+    with pytest.raises(ValueError, match="k=5 exceeds the largest total rank 4"):
+        msrd_prob_lb_A(params, 5)  # k above ell*mu
+
+
+def test_lb_A_U_weight_domain_is_ell_mu():
+    # m < eta: the largest total rank is ell*m, not n = ell*eta
+    params = CodeParams(q=3, m=2, eta=3, ell=2)
+    for bound in (msrd_prob_lb_A, msrd_prob_lb_U):
+        assert bound(params, 4).lower == 0.0
+        with pytest.raises(ValueError, match="k=5 exceeds the largest total rank 4; "
+                           "no code of that dimension can be MSRD"):
+            bound(params, 5)
 
 
 def test_lb_U_variants_relate_to_A():
     # failure ratio U/A is q^{-k^2/ell} gamma^ell, with an extra q^{-ell/4}
     # as printed
     for q, eta, ell, k, m in [(2, 3, 2, 2, 10), (3, 2, 2, 2, 11), (2, 2, 1, 1, 6)]:
-        f_a = 1 - msrd_prob_lb_A(q, m, eta, ell, k).raw_lower
-        f_u = 1 - msrd_prob_lb_U(q, m, eta, ell, k, "lemma").raw_lower
-        f_u_printed = 1 - msrd_prob_lb_U(q, m, eta, ell, k, "printed").raw_lower
+        params = CodeParams(q=q, m=m, eta=eta, ell=ell)
+        f_a = 1 - msrd_prob_lb_A(params, k).raw_lower
+        f_u = 1 - msrd_prob_lb_U(params, k, "lemma").raw_lower
+        f_u_printed = 1 - msrd_prob_lb_U(params, k, "printed").raw_lower
         ratio = float(q) ** (-(k**2) / ell) * gamma_q(q) ** ell
         assert f_u / f_a == pytest.approx(ratio, rel=1e-9)
         assert f_u_printed / f_u == pytest.approx(float(q) ** (-ell / 4), rel=1e-9)
     with pytest.raises(ValueError):
-        msrd_prob_lb_U(2, 4, 2, 2, 2, variant="bogus")
+        msrd_prob_lb_U(CodeParams(q=2, m=4, eta=2, ell=2), 2, variant="bogus")
 
 
 def _meet_count_complement(Q, n, k):
@@ -122,8 +135,8 @@ def test_br_bounds_tiny_census():
     frac_all = msrd / q_binomial(2, 1, 4)
     assert br.lower <= frac_all <= br.upper
     assert br.lower <= msrd / total <= br.upper
-    a = msrd_prob_lb_A(2, 2, 1, 2, 1)
-    u = msrd_prob_lb_U(2, 2, 1, 2, 1)
+    a = msrd_prob_lb_A(params, 1)
+    u = msrd_prob_lb_U(params, 1)
     assert msrd / total >= a.lower
     assert msrd / total >= u.lower
 
@@ -165,15 +178,14 @@ def test_min_extension_degree_resubstitution():
         assert m_min is not None
 
         def raw_at(m):
+            params = CodeParams(q=2, m=m, eta=1, ell=4)
             if kind == "A":
-                return msrd_prob_lb_A(2, m, 1, 4, 1).raw_lower
+                return msrd_prob_lb_A(params, 1).raw_lower
             if kind == "U-lemma":
-                return msrd_prob_lb_U(2, m, 1, 4, 1, "lemma").raw_lower
+                return msrd_prob_lb_U(params, 1, "lemma").raw_lower
             if kind == "U-printed":
-                return msrd_prob_lb_U(2, m, 1, 4, 1, "printed").raw_lower
-            return msrd_prob_bounds_BR(
-                CodeParams(q=2, m=m, eta=1, ell=4), 1, with_upper=False
-            ).raw_lower
+                return msrd_prob_lb_U(params, 1, "printed").raw_lower
+            return msrd_prob_bounds_BR(params, 1, with_upper=False).raw_lower
 
         assert raw_at(m_min) > 0
         if m_min > 1:

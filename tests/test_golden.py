@@ -1,11 +1,14 @@
 """Byte-exact golden corpus: the stdout of CLI runs and of the four demos.
 
 Every case must print exactly the bytes stored in tests/golden/<name>.out.
-After a change that alters output on purpose, re-record the corpus with
+Running
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff of tests/golden/ before committing it.
+records only the cases that have no file yet; existing files are never
+rewritten, so a run after a code change cannot bless a regression. To
+re-record a case whose output changes on purpose, delete its file, run the
+recorder, and review the diff of tests/golden/ before committing it.
 """
 
 import contextlib
@@ -49,6 +52,12 @@ CASES = {
     "mmin_bounds_A": "mmin --q 2 --n 8 --k 2 --bounds A",
     # 30 divisors ell of n, each an m-search over a BR bound with large binomials
     "mmin_bounds_BR_n20000": "mmin --q 2 --n 20000 --k 5 --bounds BR",
+    # 64 divisors ell of n = 10^7, found without a linear scan
+    "mmin_bounds_A_n1e7": "mmin --q 2 --n 10000000 --k 5 --bounds A",
+    # A cells empty, and BR empty because k = n
+    "mmin_bounds_U_BR_k_eq_n": "mmin --q 3 --n 12 --k 12 --bounds U,BR",
+    # a repeated kind, out of order
+    "mmin_bounds_BR_A_BR": "mmin --q 2 --n 24 --k 6 --bounds BR,A,BR",
     "curve_grid1": f"curve-sp-gv {P} --grid 1",
     "montecarlo_mindist": f"montecarlo {P} --k 1 --trials 20 --seed 3 --predicate mindist --d 3",
 }
@@ -94,9 +103,13 @@ def test_demo_matches_golden(name):
 
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
-    outputs = {name: _cli_output(argv) for name, argv in CASES.items()}
-    outputs.update((name, _demo_output(script)) for name, script in DEMO_CASES.items())
-    for name, text in outputs.items():
-        with open(os.path.join(GOLDEN, f"{name}.out"), "w", encoding="utf-8", newline="") as fh:
+    todo = {name: (_cli_output, argv) for name, argv in CASES.items()}
+    todo.update((name, (_demo_output, script)) for name, script in DEMO_CASES.items())
+    for name, (render, arg) in todo.items():
+        path = os.path.join(GOLDEN, f"{name}.out")
+        if os.path.exists(path):
+            continue
+        text = render(arg)
+        with open(path, "x", encoding="utf-8", newline="") as fh:
             fh.write(text)
         print(f"recorded {name}.out ({len(text)} bytes)")
