@@ -8,8 +8,11 @@ Two regimes are interesting:
   * growing block size (eta = ell = m) -- everything collapses onto the
     asymptotic curves already at moderate n.
 
-The defaults keep n small so the script runs in a couple of seconds; pass
---full-scale for the n = 2^11 / 2^10 runs (about 13 s).
+The defaults keep n small so the script runs in well under a second; pass
+--full-scale for the n = 2^11 / 2^10 runs (also under a second: the exact
+growing-block rates come from bounds.sp_max_k/gv_max_k, which read a
+certified decimal enclosure of the balls instead of building the exact
+table).
 
 The same sweep is available from the command line:
   sumrank curve-sp-gv --q 2 --m 16 --eta 8 --n 2048 --grid 64 --out curve.csv

@@ -6,18 +6,25 @@ log_q domain; the asymptotic forms are closed-form rate functions of the
 relative distance delta = d/n.
 
 Every max-k solver returns a k that satisfies the defining inequality while
-k+1 does not.  The exact SP/GV solvers get it in closed form, from an exact
-integer logarithm base q^m of the ball volume; the simplified solvers
-binary-search their monotone float predicates, which a closed form could
-round differently at the boundary.
+k+1 does not.  The exact SP/GV solvers get it in closed form, from the
+integer floor or ceiling of log base q^m of the ball volume; the simplified
+solvers binary-search their monotone float predicates, which a closed form
+could round differently at the boundary.
+
+When one block spans at least B0 bits (q^(m eta) >= 2^(B0-1)), the exact
+solvers read that logarithm from volumes.ball_enclosure, decimal bounds on
+the ball and on the powers of q^m, and build the exact volume table only
+when those bounds cannot decide it.  Below B0 the exact table is cheaper to
+build than the enclosure.  Both ways give the same k.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 from .combinatorics import binomial, log_gamma_q, logq_int
-from .volumes import CodeParams, volume_table
+from .volumes import CodeParams, ball_enclosure, volume_table
 
 __all__ = [
     "singleton_max_k",
@@ -32,6 +39,15 @@ __all__ = [
     "gv_simplified_max_k",
     "gv_asymptotic_rate",
 ]
+
+# Bit size of q^(m eta) from which the exact SP/GV solvers use ball_enclosure.
+# The exact table forms about ell*mu^2 products of an up-to-ell-block integer
+# by a one-block one, B bits per block; the enclosure about (ell*mu)^2 decimal
+# operations of fixed size.  Both grow as ell^2, so the ratio of their costs
+# depends on B alone.  Measured on single builds, the two are within 40% of
+# each other at 1,025 bits; the enclosure is 1.8 times faster at 1,281 bits
+# and 14 times at 4,097.
+B0 = 1280
 
 
 def _check_k(params: CodeParams, k: int):
@@ -66,6 +82,37 @@ def _floor_log(x: int, base: int) -> int:
     return e
 
 
+def _enclosed_log(lo, hi, lo_Q: list, hi_Q: list, ceil: bool) -> int | None:
+    """ceil (if ceil) or floor of log_Q x for any lo <= x <= hi, given
+    lo_Q[e] <= Q^e <= hi_Q[e] for e = 0, 1, ...; None when the bounds allow
+    two answers.
+
+    The largest e with hi_Q[e] <= lo is the floor if hi < lo_Q[e+1]; the
+    smallest c with lo_Q[c] >= hi is the ceiling if c == 0 or hi_Q[c-1] < lo.
+    """
+    if ceil:
+        c = bisect_left(lo_Q, hi)
+        return c if c == 0 or hi_Q[c - 1] < lo else None
+    e = bisect_right(hi_Q, lo) - 1
+    return e if hi < lo_Q[e + 1] else None
+
+
+def _log_ball(params: CodeParams, t: int, ceil: bool) -> int:
+    """ceil (if ceil) or floor of log_{q^m} ball(t), exact.  From B0 bits on
+    it is read from the enclosure; below B0, or where the enclosure allows two
+    answers, from the exact ball."""
+    Q = params.q**params.m
+    if (Q**params.eta).bit_length() >= B0:
+        lo, hi, lo_Q, hi_Q = ball_enclosure(params)
+        log = _enclosed_log(lo[t], hi[t], lo_Q, hi_Q, ceil)
+        if log is not None:
+            return log
+    ball = volume_table(params).ball(t)
+    if ceil:  # ceil(log_Q x) = floor(log_Q (x - 1)) + 1 for x >= 2
+        return 0 if ball == 1 else _floor_log(ball - 1, Q) + 1
+    return _floor_log(ball, Q)
+
+
 # ---------------------------------------------------------------------------
 # Singleton
 
@@ -81,38 +128,36 @@ def singleton_max_k(params: CodeParams, d: int) -> int:
 # ---------------------------------------------------------------------------
 # sphere-packing
 
-def _sp_ball(params: CodeParams, d: int) -> int:
-    """The ball of packing radius (d-1)//2 the SP bound weighs at distance d."""
+def _sp_radius(params: CodeParams, d: int) -> int:
+    """The packing radius (d-1)//2 whose ball the SP bound weighs at distance d."""
     params.check_weight(d, low=1, name="d")
-    return volume_table(params).ball((d - 1) // 2)
+    return (d - 1) // 2
 
 
 def sp_holds(params: CodeParams, k: int, d: int) -> bool:
     """Exact sphere-packing feasibility:
     q^{m k} * ball((d-1)//2) <= q^{m n}, that is ball <= q^{m (n-k)}."""
     _check_k(params, k)
-    return _sp_ball(params, d) <= params.q ** (params.m * (params.n - k))
+    return volume_table(params).ball(_sp_radius(params, d)) <= params.q ** (params.m * (params.n - k))
 
 
 def sp_max_k(params: CodeParams, d: int) -> int:
     """Largest k passing the exact sphere-packing bound; 0 if none.
 
-    q^{m k} ball <= q^{m n} holds exactly for k <= n - ceil(log_{q^m} ball),
-    and ceil(log_Q x) = floor(log_Q (x - 1)) + 1 for x >= 2.
+    q^{m k} ball <= q^{m n} holds exactly for k <= n - ceil(log_{q^m} ball).
     """
-    ball = _sp_ball(params, d)
-    ceil_log = 0 if ball == 1 else _floor_log(ball - 1, params.q**params.m) + 1
-    return params.n - ceil_log
+    return params.n - _log_ball(params, _sp_radius(params, d), ceil=True)
 
 
 def _sp_simplified_pred(params: CodeParams, d: int):
     """The simplified sphere-packing inequality at distance d, as a predicate of k."""
-    params.check_weight(d, low=1, name="d")
-    t = (d - 1) // 2
+    t = _sp_radius(params, d)
     ell, m = params.ell, params.m
-    return lambda k: (
-        m * k + (m + params.eta - t / ell) * t - ell / 4 - ell * log_gamma_q(params.q)
-    ) <= m * params.n
+    # the k-free terms, each formed once; the sum keeps its left-to-right order
+    a = (m + params.eta - t / ell) * t
+    b = ell / 4
+    c = ell * log_gamma_q(params.q)
+    return lambda k: m * k + a - b - c <= m * params.n
 
 
 def sp_simplified_holds(params: CodeParams, k: int, d: int) -> bool:
@@ -175,17 +220,17 @@ def sp_asymptotic_rate(
 # ---------------------------------------------------------------------------
 # Gilbert-Varshamov
 
-def _gv_ball(params: CodeParams, d: int) -> int:
-    """The ball of radius d-1 the GV bound weighs at distance d."""
+def _gv_radius(params: CodeParams, d: int) -> int:
+    """The radius d-1 whose ball the GV bound weighs at distance d."""
     params.check_weight(d, low=1, name="d")
-    return volume_table(params).ball(d - 1)
+    return d - 1
 
 
 def gv_holds(params: CodeParams, k: int, d: int) -> bool:
     """Exact Gilbert-Varshamov existence condition:
     q^{m (k-1)} * ball(d-1) < q^{m n}, that is ball < q^{m (n-k+1)}."""
     _check_k(params, k)
-    return _gv_ball(params, d) < params.q ** (params.m * (params.n - k + 1))
+    return volume_table(params).ball(_gv_radius(params, d)) < params.q ** (params.m * (params.n - k + 1))
 
 
 def gv_max_k(params: CodeParams, d: int) -> int:
@@ -193,7 +238,7 @@ def gv_max_k(params: CodeParams, d: int) -> int:
 
     q^{m (k-1)} ball < q^{m n} holds exactly for k <= n - floor(log_{q^m} ball).
     """
-    return params.n - _floor_log(_gv_ball(params, d), params.q**params.m)
+    return params.n - _log_ball(params, _gv_radius(params, d), ceil=False)
 
 
 def _gv_simplified_pred(params: CodeParams, d: int):
@@ -202,10 +247,12 @@ def _gv_simplified_pred(params: CodeParams, d: int):
         raise ValueError(f"simplified GV bound needs d > 2, got d={d}")
     params.check_weight(d, low=1, name="d")
     ell, m, q = params.ell, params.m, params.q
-    return lambda k: (
-        m * (k - 1) + math.log(d - 1) / math.log(q) + logq_int(binomial(ell + d - 2, ell - 1), q)
-        + ell * log_gamma_q(q) + (d - 1) * (m + params.eta - (d - 1) / ell)
-    ) < m * params.n
+    # the k-free terms, each formed once; the sum keeps its left-to-right order
+    a = math.log(d - 1) / math.log(q)
+    b = logq_int(binomial(ell + d - 2, ell - 1), q)
+    c = ell * log_gamma_q(q)
+    e = (d - 1) * (m + params.eta - (d - 1) / ell)
+    return lambda k: m * (k - 1) + a + b + c + e < m * params.n
 
 
 def gv_simplified_holds(params: CodeParams, k: int, d: int) -> bool:

@@ -49,20 +49,83 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+_SMALL_PRIMES = [p for p in range(2, 256) if all(p % r for r in range(2, min(p, 16)))]
+# Strong probable-prime tests to the first 13 prime bases decide primality of
+# every n below _MR_BOUND (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 86 (2017)).
+_MR_BASES = _SMALL_PRIMES[:13]  # 2, 3, ..., 41
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin round: whether odd n > a passes the strong test to base a."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 def is_prime(n: int) -> bool:
-    """Primality by trial division; intended for field characteristics."""
-    return n >= 2 and _prime_factors(n) == [n]
+    """Primality: trial division by the primes below 256, then strong
+    probable-prime tests to the prime bases 2..41, which decide it below
+    _MR_BOUND (about 3.3e24).  Raises ValueError for an n at or above that
+    bound that passes every test, since no proof covers it."""
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < _SMALL_PRIMES[-1] ** 2:
+        return n > 1
+    if not all(_strong_probable_prime(n, a) for a in _MR_BASES):
+        return False
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} passes the strong tests to bases 2..41 but is not below "
+                         f"{_MR_BOUND}, where they are proven to decide primality")
+    return True
+
+
+def _iroot(x: int, e: int) -> int:
+    """Largest r with r**e <= x, for x >= 1, by integer Newton steps from above."""
+    r = 1 << -(-x.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + x // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """Decompose q = p^e with p prime, or raise ValueError."""
-    factors = _prime_factors(q)
-    if len(factors) != 1:
-        raise ValueError(f"q={q} is not a prime power")
-    p, e = factors[0], 1
-    while p**e < q:
-        e += 1
-    return p, e
+    """Decompose q = p^e with p prime, or raise ValueError.
+
+    A small prime factor p ends the search: q is a power of p or of no prime.
+    Otherwise every prime factor exceeds 2^8, so e < bits(q)/8; the largest e
+    with an exact e-th root is the only candidate, and its root must be prime.
+    """
+    if q >= 2:
+        for p in _SMALL_PRIMES:
+            if q % p == 0:
+                rest, e = q // p, 1
+                while rest % p == 0:
+                    rest //= p
+                    e += 1
+                if rest == 1:
+                    return p, e
+                break
+        else:
+            for e in range(q.bit_length() // 8, 0, -1):
+                r = _iroot(q, e)
+                if r**e == q:
+                    if is_prime(r):
+                        return r, e
+                    break
+    raise ValueError(f"q={q} is not a prime power")
 
 
 class PrimeField:

@@ -5,14 +5,17 @@ eta; its weight is the sum of the F_q-ranks of the m-by-eta expansion of each
 block.  The sphere volumes, words of each weight, are the coefficients of
 (sum_s nm_count(eta, m, s) z^s)^ell, exact big integers computed in one pass
 by combinatorics.power_coefficients; a direct sum over bounded weight
-decompositions serves as an independent oracle.
+decompositions serves as an independent oracle.  ball_enclosure bounds the
+same balls from below and above in 30-digit decimal arithmetic, for callers
+that need only their size relative to powers of q^m.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 
 from .combinatorics import (
@@ -32,6 +35,7 @@ __all__ = [
     "sphere_volume",
     "sphere_volume_direct",
     "ball_volume",
+    "ball_enclosure",
     "sphere_lower_bound_logq",
     "sphere_upper_bound_logq",
 ]
@@ -90,6 +94,11 @@ class CodeParams:
                              f"weight {self.max_weight}; MSRD is unattainable")
 
 
+def _block_counts(params: CodeParams) -> list[int]:
+    """The block polynomial: words of one block of each rank s = 0..mu."""
+    return [nm_count(params.eta, params.m, s, params.q) for s in range(params.mu + 1)]
+
+
 class VolumeTable:
     """Sphere and ball volumes for all radii 0..ell*mu, built in one pass.
 
@@ -101,8 +110,7 @@ class VolumeTable:
     def __init__(self, params: CodeParams):
         self.params = params
         self.radius_max = radius_max = params.max_weight
-        block = [nm_count(params.eta, params.m, s, params.q) for s in range(params.mu + 1)]
-        self._ball = list(accumulate(power_coefficients(block, params.ell, radius_max)))
+        self._ball = list(accumulate(power_coefficients(_block_counts(params), params.ell, radius_max)))
 
     def sphere(self, t: int) -> int:
         return self.ball(t) - (self.ball(t - 1) if t else 0)
@@ -128,6 +136,48 @@ def ball_volume(params: CodeParams, t: int) -> int:
     return volume_table(params).ball(t)
 
 
+# Decimal digits of ball_enclosure.  At 30 its bounds on a ball agree to about
+# 1e-27 relative, so they decide log_{q^m} of every ball farther than that
+# from a power of q^m; the exact table decides the rest.
+_ENCLOSURE_DIGITS = 30
+
+
+@lru_cache(maxsize=32)
+def ball_enclosure(params: CodeParams) -> tuple[list, list, list, list]:
+    """Directed-rounding bounds (lo, hi, lo_powers, hi_powers) on the balls
+    and on the powers of Q = q^m, as Decimals:
+    lo[t] <= ball(t) <= hi[t] for t = 0..ell*mu, and
+    lo_powers[e] <= Q^e <= hi_powers[e] for e = 0..n+1.
+
+    Each bound comes from one pass of correctly rounded decimal add and
+    multiply, rounding toward -inf for lo and toward +inf for hi: the block
+    polynomial raised to the ell-th power by repeated convolution, its
+    running sums, and repeated products by Q.  Every term is positive, so
+    rounding every operation one way rounds the result that way.
+    """
+    top = params.max_weight
+    block = _block_counts(params)
+    bounds = []
+    for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING):
+        ctx = decimal.Context(prec=_ENCLOSURE_DIGITS, rounding=rounding,
+                              Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+        add, mul = ctx.add, ctx.multiply
+        poly = [ctx.create_decimal(c) for c in block]
+        column = [decimal.Decimal(1)]
+        for _ in range(params.ell):
+            column = [
+                reduce(add, [mul(poly[s], column[t - s])
+                             for s in range(max(0, t - len(column) + 1), min(params.mu, t) + 1)])
+                for t in range(min(len(column) + params.mu, top + 1))
+            ]
+        balls = list(accumulate(column, add))
+        q_m = ctx.create_decimal(params.q**params.m)
+        powers = list(accumulate([q_m] * (params.n + 1), mul, initial=decimal.Decimal(1)))
+        bounds.append((balls, powers))
+    (lo, lo_powers), (hi, hi_powers) = bounds
+    return lo, hi, lo_powers, hi_powers
+
+
 def sphere_volume_direct(params: CodeParams, t: int) -> int:
     """Sphere volume as the explicit sum over weight decompositions.
 
@@ -135,7 +185,7 @@ def sphere_volume_direct(params: CodeParams, t: int) -> int:
     prod_i nm_count(eta, m, t_i); independent oracle for sphere_volume.
     """
     params.check_weight(t)
-    block = [nm_count(params.eta, params.m, s, params.q) for s in range(params.mu + 1)]
+    block = _block_counts(params)
     return sum(math.prod(block[s] for s in parts) for parts in partitions_iter(t, params.ell, params.mu))
 
 

@@ -12,7 +12,7 @@ import itertools
 from functools import lru_cache
 
 from sumrank.codes import ambient_field, block_rank_profile
-from sumrank.volumes import CodeParams
+from sumrank.volumes import CodeParams, ball_enclosure, volume_table
 
 
 @lru_cache(maxsize=None)
@@ -101,3 +101,14 @@ def systematic_census(params: CodeParams, k: int):
         msrd += ok
         total += 1
     return msrd, total
+
+
+def assert_encloses(params: CodeParams):
+    """Every exact ball and every power Q^e, Q = q^m, e = 0..n+1, lies
+    within the bounds of ball_enclosure."""
+    lo, hi, lo_Q, hi_Q = ball_enclosure(params)
+    table, Q = volume_table(params), params.q**params.m
+    assert len(lo) == len(hi) == params.max_weight + 1
+    assert [t for t in range(params.max_weight + 1) if not lo[t] <= table.ball(t) <= hi[t]] == []
+    assert len(lo_Q) == len(hi_Q) == params.n + 2
+    assert [e for e in range(params.n + 2) if not lo_Q[e] <= Q**e <= hi_Q[e]] == []

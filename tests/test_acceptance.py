@@ -252,6 +252,33 @@ def test_criterion_6_curve_csv_anchor(tmp_path):
     _report(6, "delta=0.5 CSV row equals direct evaluation (growing block)")
 
 
+# (q, ell, xi) with m = xi*eta: growing-block families whose exact SP and GV
+# rates must approach the xi-limits as eta doubles
+XI_FAMILIES = [(2, 4, 1), (2, 8, 1), (4, 4, 1), (2, 4, 2), (2, 4, 0.5)]
+
+
+def test_criterion_6_growing_block_limits_converge():
+    """The largest gap between each exact rate and its xi-limit, over the rows
+    with delta <= min(1, xi), shrinks by a factor of at most 0.7 at each
+    doubling of eta from 8 to 64.  (Rows with delta > xi clamp d to ell*mu
+    when m < eta, so their exact rate stops falling while the limit does not.)"""
+    start = time.monotonic()
+    worst = 0.0
+    for q, ell, xi in XI_FAMILIES:
+        gaps = []
+        for eta in (8, 16, 32, 64):
+            rows = [row for row in curve_rows(CodeParams(q=q, m=int(xi * eta), eta=eta, ell=ell), 64, "xi")
+                    if row[0] <= min(1, xi)]
+            # exact SP vs raw_R_sp_asymptotic, exact GV vs raw_R_gv_asymptotic
+            gaps.append([max(abs(row[e] - row[a]) for row in rows) for e, a in ((3, 9), (6, 10))])
+        for before, after in zip(gaps, gaps[1:]):
+            for b, a in zip(before, after):
+                assert a <= 0.7 * b, ((q, ell, xi), gaps)
+                worst = max(worst, a / b)
+    _report(6, f"xi-limit gaps shrink by <= {worst:.2f} per doubling of eta up to 64, "
+               f"{len(XI_FAMILIES)} families in {time.monotonic() - start:.1f}s")
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="stated 0.02 tolerance is below the gamma_q^ell + multiplicity slack "

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from sumrank import bounds, volumes
 from sumrank.bounds import (
+    _enclosed_log,
     _floor_log,
     _largest_k,
     gv_asymptotic_rate,
@@ -17,6 +19,7 @@ from sumrank.bounds import (
     sp_simplified_holds,
     sp_simplified_max_k,
 )
+from sumrank.cli import curve_rows
 from sumrank.volumes import CodeParams
 
 from conftest import hamming_ball
@@ -125,6 +128,8 @@ def test_gv_max_k():
 ORACLE_SETS = GRID + [
     CodeParams(q=2, m=16, eta=8, ell=128),
     CodeParams(q=16, m=32, eta=32, ell=8),
+    CodeParams(q=16, m=32, eta=32, ell=16),
+    CodeParams(q=2, m=64, eta=16, ell=32),
     # q^m not a power of two
     CodeParams(q=3, m=5, eta=4, ell=16),
     CodeParams(q=5, m=3, eta=3, ell=20),
@@ -133,11 +138,76 @@ ORACLE_SETS = GRID + [
 ]
 
 
+def _binary_search_max_ks(params):
+    """(SP, GV) max-k at every d, by binary search over the exact predicates."""
+    return [(_largest_k(lambda k: sp_holds(params, k, d), params.n),
+             _largest_k(lambda k: gv_holds(params, k, d), params.n))
+            for d in range(1, params.ell * params.mu + 1)]
+
+
+def _solver_max_ks(params):
+    return [(sp_max_k(params, d), gv_max_k(params, d)) for d in range(1, params.ell * params.mu + 1)]
+
+
 @pytest.mark.parametrize("params", ORACLE_SETS, ids=str)
-def test_max_k_closed_form_matches_binary_search(params):
-    for d in range(1, params.ell * params.mu + 1):
-        assert sp_max_k(params, d) == _largest_k(lambda k: sp_holds(params, k, d), params.n), d
-        assert gv_max_k(params, d) == _largest_k(lambda k: gv_holds(params, k, d), params.n), d
+def test_max_k_closed_form_matches_binary_search(params, monkeypatch):
+    expected = _binary_search_max_ks(params)
+    # B0 forced so that every set takes each path: the enclosure, then the table
+    for b0 in (0, 1 << 62):
+        monkeypatch.setattr(bounds, "B0", b0)
+        assert _solver_max_ks(params) == expected, b0
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty the enclosure and table caches before and after the test."""
+    for cache in (volumes.ball_enclosure, volumes.volume_table):
+        cache.cache_clear()
+    yield
+    for cache in (volumes.ball_enclosure, volumes.volume_table):
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("digits", [2, 3])
+@pytest.mark.parametrize("params", [CodeParams(q=2, m=3, eta=3, ell=3), CodeParams(q=3, m=5, eta=4, ell=16),
+                                    CodeParams(q=16, m=32, eta=32, ell=4)], ids=str)
+def test_coarse_enclosure_falls_back_to_the_table(params, digits, monkeypatch, fresh_caches):
+    # at 2-3 digits the enclosure leaves radii undecided; those go to the table
+    monkeypatch.setattr(bounds, "B0", 0)
+    monkeypatch.setattr(volumes, "_ENCLOSURE_DIGITS", digits)
+    built = []
+    monkeypatch.setattr(bounds, "volume_table", lambda p: built.append(p) or volumes.volume_table(p))
+    ks = _solver_max_ks(params)
+    assert built
+    monkeypatch.undo()
+    assert ks == _binary_search_max_ks(params)
+
+
+def test_growing_block_curve_builds_no_table(fresh_caches):
+    curve_rows(CodeParams(q=16, m=32, eta=32, ell=8), 64, "xi")
+    assert volumes.ball_enclosure.cache_info().misses == 1
+    assert volumes.volume_table.cache_info().misses == 0
+
+
+def test_enclosed_log_at_power_boundaries():
+    # Q = 10 with exact powers: a bound that touches a power leaves two answers
+    powers = [10**e for e in range(6)]
+    for e in range(1, 5):
+        Qe = 10**e
+        assert _enclosed_log(Qe, Qe, powers, powers, ceil=False) == e
+        assert _enclosed_log(Qe, Qe, powers, powers, ceil=True) == e
+        assert _enclosed_log(Qe - 1, Qe, powers, powers, ceil=False) is None
+        assert _enclosed_log(Qe - 1, Qe, powers, powers, ceil=True) == e
+        assert _enclosed_log(Qe, Qe + 1, powers, powers, ceil=False) == e
+        assert _enclosed_log(Qe, Qe + 1, powers, powers, ceil=True) is None
+        assert _enclosed_log(Qe + 1, 2 * Qe, powers, powers, ceil=False) == e
+        assert _enclosed_log(Qe + 1, 2 * Qe, powers, powers, ceil=True) == e + 1
+    assert _enclosed_log(1, 1, powers, powers, ceil=False) == 0
+    assert _enclosed_log(1, 1, powers, powers, ceil=True) == 0
+    # inexact power bounds overlapping the ball's leave it undecided
+    loose_lo, loose_hi = [p - p // 20 for p in powers], [p + p // 20 for p in powers]
+    assert _enclosed_log(990, 999, loose_lo, loose_hi, ceil=False) is None
+    assert _enclosed_log(1001, 1010, loose_lo, loose_hi, ceil=True) is None
 
 
 @pytest.mark.parametrize("base", [2, 3, 2**16, 3**10, 16**32], ids=["2", "3", "2^16", "3^10", "16^32"])

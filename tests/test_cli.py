@@ -1,6 +1,7 @@
 import csv
 import json
 import io
+import time
 
 import pytest
 
@@ -59,6 +60,15 @@ def test_bounds_row_matches_library(capsys):
     assert int(vals["k_sp_exact"]) == sp_max_k(params, 3)
     assert int(vals["k_sp_simplified"]) == sp_simplified_max_k(params, 3)
     assert int(vals["k_gv_exact"]) == gv_max_k(params, 3)
+
+
+def test_bounds_at_a_62_bit_prime_q(capsys):
+    start = time.perf_counter()
+    code, out = _run(["bounds", "--q", "4611686018427387847", "--m", "1", "--eta", "1", "--ell", "2",
+                      "--d", "2"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert _rows(out)[1][0] == "4611686018427387847"
 
 
 def test_curve_schema_and_ranges(capsys):
@@ -186,6 +196,8 @@ def test_usage_errors_exit_2(capsys):
         ["mmin", "--q", "2", "--n", "0", "--k", "1"],
         ["mmin", "--q", "6", "--n", "8", "--k", "2"],
         ["mmin", "--q", "1", "--n", "8", "--k", "2"],
+        # a prime above 3.3e24, where Miller-Rabin to bases 2..41 proves nothing
+        ["bounds", "--q", str(2**89 - 1), "--m", "1", "--eta", "1", "--ell", "2", "--d", "2"],
         ["mmin", "--q", "6", "--n", "4", "--k", "2", "--bounds", ","],  # no kind computed
         ["mmin", "--q", "2", "--n", "4", "--k", "2", "--m-cap", "0"],
         ["mmin", "--q", "2", "--n", "4", "--k", "2", "--m-cap", "-5", "--bounds", ","],

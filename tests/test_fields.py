@@ -5,6 +5,7 @@ import pytest
 
 from sumrank.fields import (
     ExtensionField,
+    _prime_factors,
     ext_make,
     field_make,
     is_prime,
@@ -52,6 +53,58 @@ def test_prime_checks():
     for q in (0, 1, -3, 12):
         with pytest.raises(ValueError):
             prime_power(q)
+
+
+def _trial_division_prime_power(q):
+    """(p, e) with q = p^e, p prime, by trial division; None if there is none."""
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        return None
+    p, e = factors[0], 1
+    while p**e < q:
+        e += 1
+    return p, e
+
+
+def _prime_power_or_none(q):
+    try:
+        return prime_power(q)
+    except ValueError:
+        return None
+
+
+def test_prime_power_matches_trial_division():
+    for q in range(-2, 10**5 + 1):
+        expected = _trial_division_prime_power(q)
+        assert _prime_power_or_none(q) == expected, q
+        assert is_prime(q) == (expected == (q, 1)), q
+    rng = random.Random(2017)
+    for _ in range(50):
+        q = rng.randint(10**5, 10**12)
+        assert _prime_power_or_none(q) == _trial_division_prime_power(q), q
+    # exact powers, where only the root is trial-divided
+    for e in (2, 3, 4):
+        for _ in range(40):
+            x = rng.randint(2, int(10 ** (12 / e)))
+            root = _trial_division_prime_power(x)
+            assert _prime_power_or_none(x**e) == (root and (root[0], root[1] * e)), (x, e)
+
+
+def test_prime_power_of_large_primes():
+    # strong pseudoprimes to bases 2..31 and to bases 2..37 (Sorenson and Webster)
+    for q in (3825123056546413051, 318665857834031151167461):
+        assert not is_prime(q)
+        with pytest.raises(ValueError, match="not a prime power"):
+            prime_power(q)
+    mersenne = 2**61 - 1
+    for e in (1, 2, 3):
+        assert prime_power(mersenne**e) == (mersenne, e)
+    assert prime_power(4611686018427387847) == (4611686018427387847, 1)
+    # above 3.3e24 the bases 2..41 decide nothing; a prime there is refused
+    with pytest.raises(ValueError, match="proven to decide"):
+        prime_power(2**89 - 1)
+    with pytest.raises(ValueError, match="not a prime power"):
+        prime_power((2**89 - 1) * 3)
 
 
 def test_f2_arithmetic():

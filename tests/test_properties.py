@@ -30,7 +30,7 @@ from sumrank.codes import (
 from sumrank.fields import ext_make, field_make, matrix_rank
 from sumrank.volumes import CodeParams, sphere_volume, sphere_volume_direct
 
-from conftest import independent_rref
+from conftest import assert_encloses, independent_rref
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=100)
 
@@ -151,6 +151,12 @@ def test_matrix_rank_matches_independent_rref(drawn):
 def test_sphere_volume_matches_direct_sum(params):
     for t in range(params.ell * params.mu + 1):
         assert sphere_volume(params, t) == sphere_volume_direct(params, t)
+
+
+@SETTINGS
+@given(code_params)
+def test_ball_enclosure_contains_the_exact_balls(params):
+    assert_encloses(params)
 
 
 @SETTINGS

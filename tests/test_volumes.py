@@ -17,7 +17,7 @@ from sumrank.volumes import (
     volume_table,
 )
 
-from conftest import weight_histogram
+from conftest import assert_encloses, weight_histogram
 
 P2222 = CodeParams(q=2, m=2, eta=2, ell=2)
 
@@ -106,6 +106,11 @@ def test_doubled_block_count_is_self_convolution(q, m, eta, ell):
     for t in range(2 * top + 1):
         lo, hi = max(0, t - top), min(t, top)
         assert full.sphere(t) == sum(half.sphere(u) * half.sphere(t - u) for u in range(lo, hi + 1))
+
+
+@pytest.mark.parametrize("q, m, eta, ell", [(16, 32, 32, 8), (3, 32, 32, 8), (2, 64, 16, 4)])
+def test_ball_enclosure_contains_the_exact_balls(q, m, eta, ell):
+    assert_encloses(CodeParams(q=q, m=m, eta=eta, ell=ell))
 
 
 def test_radius_validation():
