@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
 from .combinatorics import partitions_iter, power_coefficients, q_binomial
 from .fields import ExtensionField, ext_make, field_make, matrix_rank, prime_power
 from .volumes import CodeParams
@@ -275,6 +273,8 @@ def monte_carlo(
     Trial i draws its code from an independent substream derived from
     (seed, i); the aggregate is order-insensitive counting.
     """
+    import numpy as np  # imported here so that the exact computations load without it
+
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2**64:

@@ -222,12 +222,11 @@ def min_extension_degree(
         raise ValueError("BR bound needs k < n")
     raw = _raw_lower(bound_kind, q, n // ell, ell, k)
 
-    hi = 1
+    lo, hi = 0, 1  # raw(lo) <= 0 when lo >= 1
     while raw(hi) <= 0:
-        hi *= 2
-        if hi > m_cap:
+        if hi == m_cap:
             return None
-    lo = hi // 2  # raw(lo) <= 0 when lo >= 1
+        lo, hi = hi, min(2 * hi, m_cap)
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if raw(mid) > 0:
@@ -256,4 +255,6 @@ def gv_attainment_dimension(
         raise ValueError(f"epsilon={epsilon} outside (0, {eps_max}]")
     logq_ball = logq_int(volume_table(params).ball(d - 1), params.q)
     k = math.floor(params.n * (1 - logq_ball / (params.m * params.n) - epsilon))
-    return GvAttainment(epsilon=epsilon, k=k)
+    # epsilon <= eps_max makes the exact k at least n * (1/n) = 1; float
+    # rounding can put the product just below 1 at epsilon = eps_max.
+    return GvAttainment(epsilon=epsilon, k=max(k, 1))

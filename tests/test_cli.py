@@ -125,6 +125,14 @@ def test_mmin_matches_library(capsys):
     assert [int(r[0]) for r in rows[1:]] == [1, 2, 4, 8]
 
 
+def test_mmin_reaches_a_cap_between_powers_of_two(capsys):
+    # m = 9 works for ell = 4 and 8 and lies between the probes 8 and 16
+    code, out = _run(["mmin", "--q", "2", "--n", "8", "--k", "2", "--bounds", "A", "--m-cap", "10"], capsys)
+    assert code == 0
+    assert _rows(out)[1:] == [["1", "-1", "", "", ""], ["2", "-1", "", "", ""],
+                              ["4", "9", "", "", ""], ["8", "9", "", "", ""]]
+
+
 def test_divisors_match_linear_scan():
     for n in range(1, 5001):
         assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -192,6 +193,15 @@ def test_min_extension_degree_resubstitution():
             assert raw_at(m_min - 1) <= 0
 
 
+@pytest.mark.parametrize("kind, mmin", [("A", 9), ("U-lemma", 15), ("BR", 20)])
+def test_min_extension_degree_cap_between_powers_of_two(kind, mmin):
+    # the doubling probes 1, 2, 4, 8, 16, ...; a cap between two probes must
+    # still admit every m up to the cap
+    for m_cap in range(1, mmin + 4):
+        want = mmin if m_cap >= mmin else None
+        assert min_extension_degree(2, 8, 2, 4, kind, m_cap=m_cap) == want, m_cap
+
+
 def test_min_extension_degree_cap_and_validation():
     assert min_extension_degree(2, 8, 4, 1, "A", m_cap=8) is None
     for m_cap in (0, -5):  # a cap below 1 admits no m
@@ -257,9 +267,25 @@ def test_gv_attainment_distance_one():
     n = params.n
     eps_max = gv_attainment_epsilon_max(params, 1)
     assert eps_max == pytest.approx(1 - 1 / n)
-    for eps in (0.25, 0.5, eps_max):
+    for eps in (0.25, 0.5):
         got = gv_attainment_dimension(params, 1, eps)
         assert got.k == math.floor(n * (1 - eps))
+    # exactly n * (1/n) = 1 at eps_max; the float product rounds just below 1
+    assert gv_attainment_dimension(params, 1, eps_max).k == 1
+
+
+def test_gv_attainment_dimension_is_at_least_one():
+    # eps <= eps_max gives k >= 1 by the theorem, whatever the float rounding;
+    # at (2, 1, 1, 3), d = 1 the unclamped value is floor(3 * 0.333...26) = 0
+    pairs = 0
+    for q, m, eta, ell in itertools.product((2, 3, 4, 5), range(1, 7), range(1, 5), range(1, 6)):
+        params = CodeParams(q=q, m=m, eta=eta, ell=ell)
+        for d in range(1, ell * params.mu + 1):
+            eps_max = gv_attainment_epsilon_max(params, d)
+            if eps_max > 0:
+                pairs += 1
+                assert gv_attainment_dimension(params, d, eps_max).k >= 1, (params, d)
+    assert pairs == 2327
 
 
 def test_gv_attainment_monte_carlo_floor():
