@@ -27,11 +27,11 @@ print("== GV attainment ==")
 params = CodeParams(q=2, m=6, eta=2, ell=2)
 d = 2
 eps = gv_attainment_epsilon_max(params, d)
-att = gv_attainment_dimension(params, d, eps)
+k = gv_attainment_dimension(params, d, eps)
 print(f"params q={params.q} m={params.m} eta={params.eta} ell={params.ell}, "
-      f"target d={d}: epsilon_max={eps:.4f} -> k={att.k}")
-res = monte_carlo(params, att.k, 300, 1, lambda c: min_distance_bruteforce(c) >= d)
-print(f"fraction of random [n={params.n}, k={att.k}] codes with distance >= {d}: "
+      f"target d={d}: epsilon_max={eps:.4f} -> k={k}")
+res = monte_carlo(params, k, 300, 1, lambda c: min_distance_bruteforce(c) >= d)
+print(f"fraction of random [n={params.n}, k={k}] codes with distance >= {d}: "
       f"{res.estimate:.4f} over {res.trials} trials (seed {res.seed})")
 
 print("\n== MSRD genericity ==")

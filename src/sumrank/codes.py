@@ -39,7 +39,11 @@ __all__ = [
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration would exceed its configured cap."""
+    """An enumeration would exceed its cap."""
+
+
+_MESSAGES_CAP = 2**20  # message vectors min_distance_bruteforce enumerates
+_ECHELON_CAP = 200_000  # echelon matrices is_msrd enumerates
 
 
 def ambient_field(params: CodeParams) -> ExtensionField:
@@ -125,14 +129,14 @@ def random_systematic_code(
     return LinearCode(params=params, k=k, G=tuple(rows))
 
 
-def min_distance_bruteforce(code: LinearCode, cap: int = 2**20) -> int:
+def min_distance_bruteforce(code: LinearCode) -> int:
     """Minimum sum-rank weight over all nonzero codewords, by enumerating all
-    q^{mk} message vectors.  Raises ResourceLimitError above the cap."""
+    q^{mk} message vectors.  Raises ResourceLimitError above _MESSAGES_CAP."""
     params, k = code.params, code.k
     ext = code.ext
     Q = ext.order
-    if Q**k > cap:
-        raise ResourceLimitError(f"q^(mk) = {Q**k} exceeds cap {cap}")
+    if Q**k > _MESSAGES_CAP:
+        raise ResourceLimitError(f"q^(mk) = {Q**k} exceeds cap {_MESSAGES_CAP}")
     best = None
     n = params.n
     for msg in itertools.product(range(Q), repeat=k):
@@ -203,19 +207,19 @@ def echelon_blocks_iter(params: CodeParams, t: int) -> Iterator[tuple]:
         yield from itertools.product(*(_rref_full_rank(params.eta, r, params.q) for r in parts))
 
 
-def is_msrd(code: LinearCode, cap: int = 200_000) -> bool:
+def is_msrd(code: LinearCode) -> bool:
     """Whether the code attains minimum distance n - k + 1: every block-
     diagonal full-rank echelon matrix U of total rank k must satisfy
     rank(U G^T) = k over F_{q^m}.
 
     Raises ValueError when n - k + 1 exceeds the largest possible weight and
-    ResourceLimitError when the echelon enumeration would exceed the cap.
+    ResourceLimitError when the echelon enumeration would exceed _ECHELON_CAP.
     """
     params, k = code.params, code.k
     params.check_msrd_attainable(k)
     count = echelon_count(params, k)
-    if count > cap:
-        raise ResourceLimitError(f"|echelon set| = {count} exceeds cap {cap}")
+    if count > _ECHELON_CAP:
+        raise ResourceLimitError(f"|echelon set| = {count} exceeds cap {_ECHELON_CAP}")
     ext = code.ext
     eta = params.eta
     # P = U G^T over F_{q^m} is block-diagonal in U: a row of block i pairs

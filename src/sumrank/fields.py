@@ -250,10 +250,8 @@ def _poly_powmod(F, f: Sequence[int], e: int, mod: Sequence[int]) -> list[int]:
 
 
 def _is_irreducible(F, f: Sequence[int]) -> bool:
-    """Rabin's test for a monic polynomial f over the field F."""
+    """Rabin's test for a monic polynomial f of degree >= 1 over the field F."""
     d = len(f) - 1
-    if d < 1:
-        return False
     q = F.order
     # x^(q^d) == x (mod f)
     xq = _poly_powmod(F, [0, 1], q**d, f)

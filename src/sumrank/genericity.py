@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .combinatorics import binomial, log2_int, logq_int, q_binomial
 from .combinatorics import gamma_q as _gamma_q
@@ -29,7 +28,6 @@ from .volumes import CodeParams, volume_table
 
 __all__ = [
     "ProbabilityBound",
-    "GvAttainment",
     "msrd_prob_lb_A",
     "msrd_prob_lb_U",
     "msrd_prob_bounds_BR",
@@ -37,8 +35,6 @@ __all__ = [
     "gv_attainment_epsilon_max",
     "gv_attainment_dimension",
 ]
-
-_LN_OVERFLOW = 700.0  # beyond this, exp() overflows a double
 
 
 @dataclass(frozen=True)
@@ -60,19 +56,9 @@ class ProbabilityBound:
                 raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
 
 
-@dataclass(frozen=True)
-class GvAttainment:
-    """Dimension choice k for which a random [n, k] code has minimum distance
-    >= d with probability 1 - exp(-Omega(m n)); the rate constant is not
-    quantified, so only the (epsilon, k) pair is numeric."""
-
-    epsilon: float
-    k: int
-
-
 def _raw_from_log_failure(ln_failure: float) -> float:
     """1 - exp(ln_failure), safe for any magnitude."""
-    if ln_failure > _LN_OVERFLOW:
+    if ln_failure > 700.0:  # beyond this, exp() overflows a double
         return -math.inf
     return -math.expm1(ln_failure)
 
@@ -113,21 +99,10 @@ def msrd_prob_lb_U(params: CodeParams, k: int, variant: str = "lemma") -> Probab
     return _lower_only(f"U-{variant}", params, k)
 
 
-def _msrd_upper_exact(Q: int, n: int, k: int) -> Fraction:
-    """Exact upper bound on the MSRD density of [n, k] codes over a field
-    with Q elements: the fraction of k-dim subspaces meeting a fixed
-    (n-k)-dim subspace of low-weight words trivially.
-
-    Those subspaces are exactly the complements of the fixed one, and there
-    are Q^{k(n-k)} of them among the [n k]_Q k-dim subspaces.
-    """
-    return Fraction(Q ** (k * (n - k)), q_binomial(n, k, Q))
-
-
-def _ln_qexp_minus1(q: int, e: int) -> float:
-    """ln(q^e - 1) for e >= 1 without forming the big integer."""
-    lnq = math.log(q)
-    return e * lnq + math.log1p(-math.exp(-e * lnq))
+def _ln_expm1(x: float) -> float:
+    """ln(e^x - 1) for x > 0.  Large x needs no guard: the correction
+    log1p(-e^-x) then rounds away against x."""
+    return x + math.log1p(-math.exp(-x))
 
 
 _KINDS = ("A", "U-lemma", "U-printed", "BR")
@@ -154,17 +129,11 @@ def _raw_lower(kind: str, q: int, eta: int, ell: int, k: int):
         ln_head = math.log(w) + log2_int(binomial(ell + w - 1, ell - 1)) * math.log(2) + ln_gamma
 
         def raw(m: int) -> float:
-            ln_ratio = (
-                _ln_qexp_minus1(q, m * k)
-                - _ln_qexp_minus1(q, m)
-                - _ln_qexp_minus1(q, m * n)
-            )
+            ln_ratio = _ln_expm1(m * k * lnq) - _ln_expm1(m * lnq) - _ln_expm1(m * n * lnq)
+            # ln_t > 0: 1 <= w < n = ell*eta makes m + eta - w/ell > m >= 1,
+            # and ln_head >= 0
             ln_t = ln_head + w * (m + eta - w / ell) * lnq
-            if ln_t <= 0:
-                # ball bound below 1: the subtracted term is nonpositive
-                return 1.0 - math.exp(ln_ratio) * math.expm1(ln_t)
-            ln_bracket = ln_t + math.log1p(-math.exp(-ln_t)) if ln_t < _LN_OVERFLOW else ln_t
-            return _raw_from_log_failure(ln_ratio + ln_bracket)
+            return _raw_from_log_failure(ln_ratio + _ln_expm1(ln_t))
 
         return raw
     ln_head = math.log(k) + log2_int(binomial(k + ell - 1, ell - 1)) * math.log(2)
@@ -181,9 +150,12 @@ def msrd_prob_bounds_BR(
     """Lower and upper bounds on the probability that a uniformly random
     [n, k] code is MSRD, via subspace-counting densities.
 
-    The upper bound divides by one q^m-binomial [n k]_{q^m}, an integer of
-    about k(n-k) log2(q^m) bits, so it grows costly for large n; pass
-    with_upper=False to skip it.
+    The upper bound Q^{k(n-k)} / [n k]_Q, Q = q^m, is the fraction of k-dim
+    subspaces meeting a fixed (n-k)-dim subspace of low-weight words
+    trivially: those are its complements.  It is one correctly rounded int
+    division, with no rational built.  Its cost is the one q^m-binomial, an
+    integer of about k(n-k) log2(q^m) bits, so it grows costly for large n;
+    pass with_upper=False to skip it.
     """
     n = params.n
     if not 1 <= k < n:
@@ -192,7 +164,8 @@ def msrd_prob_bounds_BR(
     raw = _raw_lower("BR", params.q, params.eta, params.ell, k)(params.m)
     upper = None
     if with_upper:
-        upper = float(_msrd_upper_exact(params.q**params.m, n, k))
+        Q = params.q**params.m
+        upper = Q ** (k * (n - k)) / q_binomial(n, k, Q)
     return ProbabilityBound(
         lower=min(_clamp01(raw), upper if upper is not None else 1.0),
         upper=upper,
@@ -244,9 +217,7 @@ def gv_attainment_epsilon_max(params: CodeParams, d: int) -> float:
     return 1 - logq_ball / (params.m * params.n) - 1 / params.n
 
 
-def gv_attainment_dimension(
-    params: CodeParams, d: int, epsilon: float
-) -> GvAttainment:
+def gv_attainment_dimension(params: CodeParams, d: int, epsilon: float) -> int:
     """Dimension k = floor(n (1 - log_q(ball(d-1))/(m n) - epsilon)) for which
     random [n, k] codes have minimum distance >= d with probability
     1 - exp(-Omega(m n)); epsilon must lie in (0, gv_attainment_epsilon_max]."""
@@ -257,4 +228,4 @@ def gv_attainment_dimension(
     k = math.floor(params.n * (1 - logq_ball / (params.m * params.n) - epsilon))
     # epsilon <= eps_max makes the exact k at least n * (1/n) = 1; float
     # rounding can put the product just below 1 at epsilon = eps_max.
-    return GvAttainment(epsilon=epsilon, k=max(k, 1))
+    return max(k, 1)

@@ -307,6 +307,8 @@ def test_sp_asymptotic_limits():
         sp_asymptotic_rate(0.5, "nope", xi=1.0)
     with pytest.raises(ValueError):
         sp_asymptotic_rate(0.5, "finite")
+    with pytest.raises(ValueError):
+        sp_asymptotic_rate(0.5, "nope", params=p)
 
 
 def test_gv_asymptotic_limits():
@@ -323,6 +325,11 @@ def test_gv_asymptotic_limits():
         gv_asymptotic_rate(-0.5, "xi", xi=1.0)
     with pytest.raises(ValueError):
         gv_asymptotic_rate(0.5, "bogus", xi=1.0)
+    for xi in (None, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            gv_asymptotic_rate(0.5, "xi", xi=xi)
+    with pytest.raises(ValueError):
+        gv_asymptotic_rate(0.5, "finite")  # no params
 
 
 def test_asymptotics_at_zero_distance_equal_one():

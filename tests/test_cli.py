@@ -50,6 +50,31 @@ def test_volume_prints_balls_over_4300_digits(capsys):
     assert rows == [[str(t), str(table.sphere(t)), str(table.ball(t))] for t in range(129)]
 
 
+@pytest.mark.parametrize("q,m,eta,ell,radius", [(2, 2, 2, 2, 4), (16, 32, 32, 4, 128)])
+def test_volume_json_rows_match_library_and_csv(q, m, eta, ell, radius, capsys):
+    # at (16, 32, 32, 4) the balls near radius 128 have over 4,300 digits
+    argv = ["volume", "--q", str(q), "--m", str(m), "--eta", str(eta), "--ell", str(ell),
+            "--radius", str(radius)]
+    code, out = _run([*argv, "--format", "json"], capsys)
+    assert code == 0
+    table = volume_table(CodeParams(q=q, m=m, eta=eta, ell=ell))
+    want = [{"t": t, "sphere": table.sphere(t), "ball": table.ball(t)} for t in range(radius + 1)]
+    assert json.loads(out) == want
+    code, out = _run(argv, capsys)
+    assert code == 0
+    assert [[int(c) for c in row] for row in _rows(out)[1:]] == [list(r.values()) for r in want]
+
+
+def test_ell_and_n_read_as_eta_and_ell(capsys):
+    # --ell 2 --n 6 gives eta = 3
+    given = ["--q", "2", "--m", "3", "--eta", "3", "--ell", "2"]
+    derived = ["--q", "2", "--m", "3", "--ell", "2", "--n", "6"]
+    for cmd, *rest in (["volume"], ["bounds", "--d", "3"], ["genericity", "--k", "2"]):
+        want = _run([cmd, *given, *rest], capsys)
+        assert want[0] == 0
+        assert _run([cmd, *derived, *rest], capsys) == want, cmd
+
+
 def test_bounds_row_matches_library(capsys):
     params = CodeParams(q=2, m=2, eta=2, ell=2)
     code, out = _run(["bounds", *P, "--d", "3"], capsys)
@@ -190,6 +215,7 @@ def test_usage_errors_exit_2(capsys):
     for argv in (
         ["volume", "--q", "2", "--m", "2", "--eta", "2"],  # only one of eta/ell/n
         ["volume", "--q", "2", "--m", "2", "--eta", "3", "--n", "4"],  # eta does not divide n
+        ["volume", "--q", "2", "--m", "2", "--ell", "3", "--n", "4"],  # ell does not divide n
         ["volume", "--q", "2", "--m", "2", "--eta", "2", "--ell", "3", "--n", "4"],
         ["volume", "--q", "2", "--m", "2", "--ell", "0", "--n", "4"],  # not a modulus
         ["volume", "--q", "2", "--m", "2", "--eta", "0", "--n", "4"],

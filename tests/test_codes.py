@@ -99,8 +99,9 @@ def test_min_distance_simple_codes():
     for x in range(1, 4):
         code = LinearCode(params=p2, k=1, G=((1, x),))
         assert min_distance_bruteforce(code) == 2
-    with pytest.raises(ResourceLimitError):
-        min_distance_bruteforce(LinearCode(params=p2, k=1, G=((1, 1),)), cap=3)
+    # 256^3 = 2^24 messages, above the 2^20 cap: refused before enumerating
+    with pytest.raises(ResourceLimitError, match="exceeds cap 1048576"):
+        min_distance_bruteforce(random_systematic_code(CodeParams(2, 8, 2, 2), 3, _rng(0)))
 
 
 def test_echelon_iter_frozen_count():
@@ -109,6 +110,9 @@ def test_echelon_iter_frozen_count():
     mats = list(echelon_blocks_iter(P2222, 2))
     assert len(mats) == 11
     assert echelon_count(P2222, 2) == 11
+    for t in (-1, P2222.n + 1):
+        with pytest.raises(ValueError):
+            next(echelon_blocks_iter(P2222, t))
     assert len(mats) == len(set(mats))
 
 
@@ -276,10 +280,12 @@ def test_is_msrd_validation_and_cap():
     code = random_systematic_code(p, 1, _rng(0))
     with pytest.raises(ValueError):
         is_msrd(code)
-    params = CodeParams(q=2, m=3, eta=2, ell=2)
-    big = random_systematic_code(params, 2, _rng(1))
-    with pytest.raises(ResourceLimitError):
-        is_msrd(big, cap=3)
+    # total rank 8 over two length-8 blocks: far above the 200,000 cap
+    params = CodeParams(2, 8, 8, 2)
+    assert echelon_count(params, 8) > 200_000
+    big = random_systematic_code(params, 8, _rng(1))
+    with pytest.raises(ResourceLimitError, match="exceeds cap 200000"):
+        is_msrd(big)
 
 
 def test_monte_carlo_contracts():

@@ -59,6 +59,9 @@ def test_q_binomial_small_cases():
     assert q_binomial(4, 4, 3) == 1
     assert q_binomial(4, 5, 3) == 0
     assert q_binomial(4, -1, 3) == 0
+    for q in (1, 0):
+        with pytest.raises(ValueError):
+            q_binomial(4, 2, q)
 
 
 @pytest.mark.parametrize("n,k,q", [(2, 1, 2), (3, 1, 2), (3, 2, 2), (4, 2, 2), (2, 1, 3), (3, 2, 3)])
@@ -172,6 +175,9 @@ def test_power_coefficients_small_cases_and_validation():
 def test_partitions_iter_order_and_counts():
     assert list(partitions_iter(1, 2, 1)) == [(0, 1), (1, 0)]
     assert list(partitions_iter(0, 3, 2)) == [(0, 0, 0)]
+    for bad in ((-1, 2, 1), (1, 0, 1), (1, 2, -1)):  # t < 0, ell < 1, mu < 0
+        with pytest.raises(ValueError):
+            next(partitions_iter(*bad))
     for ell in range(1, 5):
         for mu in range(5):
             for t in range(9):

@@ -111,6 +111,9 @@ def test_f2_arithmetic():
     F = field_make(2, 1)
     assert F.add(1, 1) == 0
     assert F.mul(1, 1) == 1
+    for field in (F, ext_make(F, 2)):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(0)
 
 
 def test_field_make_rejects_non_prime():
@@ -254,6 +257,21 @@ def test_large_order_fields_use_raw_ops_consistently():
     assert E17.mul(x, y) == E17.mul(y, x)
     assert E17.add(x, y) == x ^ y  # characteristic 2 adds digit-wise
     assert E17._exp is None
+    # odd characteristic above the cap: add, sub and neg decode and encode,
+    # so they must agree with coordinate-wise arithmetic mod 3
+    E311 = ext_make(field_make(3, 1), 11)
+    assert E311.order == 177147
+    rng = random.Random(311)
+    for _ in range(40):
+        x, y, z = (rng.randrange(E311.order) for _ in range(3))
+        dx, dy = E311.decode(x), E311.decode(y)
+        assert E311.add(x, y) == E311.encode((a + b) % 3 for a, b in zip(dx, dy))
+        assert E311.sub(x, y) == E311.encode((a - b) % 3 for a, b in zip(dx, dy))
+        assert E311.neg(x) == E311.encode(-a % 3 for a in dx)
+        assert E311.mul(x, E311.add(y, z)) == E311.add(E311.mul(x, y), E311.mul(x, z))
+        if x:
+            assert E311.mul(x, E311.inv(x)) == 1
+    assert E311._exp is None
     tower = ext_make(field_make(2, 4), 8)  # order 2^32
     v = tower.encode([3, 7, 0, 1, 15, 2, 9, 4])
     assert tower.mul(v, tower.inv(v)) == 1

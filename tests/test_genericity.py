@@ -8,9 +8,7 @@ import sumrank.genericity
 from sumrank.bounds import gv_holds
 from sumrank.combinatorics import binomial, gamma_q, q_binomial
 from sumrank.genericity import (
-    GvAttainment,
     ProbabilityBound,
-    _msrd_upper_exact,
     gv_attainment_dimension,
     gv_attainment_epsilon_max,
     min_extension_degree,
@@ -116,13 +114,14 @@ def _meet_count_double_sum(Q, n, k):
     [(Q, n, k) for Q in (2, 3, 4, 9, 16) for n in range(2, 8) for k in range(1, n)],
 )
 def test_br_upper_against_complementary_form(Q, n, k):
-    # the closed form Q^{k(n-k)} / [n k]_Q against two alternating-sum oracles
-    got = _msrd_upper_exact(Q, n, k)
+    # the closed form Q^{k(n-k)} / [n k]_Q against two alternating-sum
+    # oracles, and the library's float against the exact fraction
     total = q_binomial(n, k, Q)
-    assert isinstance(got, Fraction)
-    assert got == 1 - Fraction(_meet_count_complement(Q, n, k), total)
-    assert got == 1 - Fraction(_meet_count_double_sum(Q, n, k), total)
-    assert 0 < got <= 1
+    exact = Fraction(Q ** (k * (n - k)), total)
+    assert exact == 1 - Fraction(_meet_count_complement(Q, n, k), total)
+    assert exact == 1 - Fraction(_meet_count_double_sum(Q, n, k), total)
+    assert 0 < exact <= 1
+    assert msrd_prob_bounds_BR(CodeParams(q=Q, m=1, eta=1, ell=n), k).upper == float(exact)
 
 
 def test_br_bounds_tiny_census():
@@ -155,6 +154,18 @@ def test_br_ordering_and_validation():
     with pytest.raises(ValueError):
         # n-k+1 beyond the largest weight
         msrd_prob_bounds_BR(CodeParams(q=2, m=1, eta=2, ell=2), 1)
+
+
+def test_br_lower_closed_form():
+    # small enough for the formula in plain floats:
+    # 1 - (q^{mk}-1)/((q^m-1)(q^{mn}-1)) (w C(ell+w-1, ell-1) gamma^ell q^{w(m+eta-w/ell)} - 1)
+    for q, eta, ell, k in [(2, 2, 2, 2), (3, 1, 4, 2), (2, 3, 1, 1), (4, 2, 3, 4)]:
+        n, w = eta * ell, eta * ell - k
+        for m in range(eta, 13):
+            t = w * binomial(ell + w - 1, ell - 1) * gamma_q(q) ** ell * float(q) ** (w * (m + eta - w / ell))
+            expected = 1 - (q ** (m * k) - 1) / ((q**m - 1) * (q ** (m * n) - 1)) * (t - 1)
+            got = msrd_prob_bounds_BR(CodeParams(q=q, m=m, eta=eta, ell=ell), k, with_upper=False)
+            assert got.raw_lower == pytest.approx(expected, rel=1e-9, abs=1e-12), (q, eta, ell, k, m)
 
 
 def test_br_lower_tends_to_one():
@@ -213,6 +224,9 @@ def test_min_extension_degree_cap_and_validation():
         min_extension_degree(2, 8, 4, 1, "Z")
     with pytest.raises(ValueError):
         min_extension_degree(2, 8, 8, 1, "BR")  # BR needs k < n
+    for k in (0, 9):  # outside [1, n]
+        with pytest.raises(ValueError):
+            min_extension_degree(2, 8, k, 1, "A")
     for q in (1, 6):  # not prime powers
         with pytest.raises(ValueError):
             min_extension_degree(q, 8, 2, 1, "A")
@@ -253,9 +267,9 @@ def test_gv_attainment_interval_and_dimension():
     eps_max = gv_attainment_epsilon_max(params, 2)
     assert eps_max == pytest.approx(1 - math.log2(19) / 8 - 0.25, abs=1e-12)
     got = gv_attainment_dimension(params, 2, eps_max)
-    assert isinstance(got, GvAttainment)
-    assert got.k >= 1
-    assert gv_holds(params, got.k, 2)
+    assert isinstance(got, int)
+    assert got >= 1
+    assert gv_holds(params, got, 2)
     with pytest.raises(ValueError):
         gv_attainment_dimension(params, 2, 0.0)
     with pytest.raises(ValueError):
@@ -268,10 +282,9 @@ def test_gv_attainment_distance_one():
     eps_max = gv_attainment_epsilon_max(params, 1)
     assert eps_max == pytest.approx(1 - 1 / n)
     for eps in (0.25, 0.5):
-        got = gv_attainment_dimension(params, 1, eps)
-        assert got.k == math.floor(n * (1 - eps))
+        assert gv_attainment_dimension(params, 1, eps) == math.floor(n * (1 - eps))
     # exactly n * (1/n) = 1 at eps_max; the float product rounds just below 1
-    assert gv_attainment_dimension(params, 1, eps_max).k == 1
+    assert gv_attainment_dimension(params, 1, eps_max) == 1
 
 
 def test_gv_attainment_dimension_is_at_least_one():
@@ -284,7 +297,7 @@ def test_gv_attainment_dimension_is_at_least_one():
             eps_max = gv_attainment_epsilon_max(params, d)
             if eps_max > 0:
                 pairs += 1
-                assert gv_attainment_dimension(params, d, eps_max).k >= 1, (params, d)
+                assert gv_attainment_dimension(params, d, eps_max) >= 1, (params, d)
     assert pairs == 2327
 
 
@@ -295,6 +308,6 @@ def test_gv_attainment_monte_carlo_floor():
 
     params = CodeParams(q=2, m=6, eta=2, ell=2)
     d = 2
-    att = gv_attainment_dimension(params, d, gv_attainment_epsilon_max(params, d))
-    res = monte_carlo(params, att.k, 200, 31337, lambda c: min_distance_bruteforce(c) >= d)
+    k = gv_attainment_dimension(params, d, gv_attainment_epsilon_max(params, d))
+    res = monte_carlo(params, k, 200, 31337, lambda c: min_distance_bruteforce(c) >= d)
     assert res.estimate > 0.9

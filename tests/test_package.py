@@ -1,6 +1,8 @@
-"""The package surface: one list of public names, and numpy loaded only for
-Monte-Carlo."""
+"""The package surface: one list of public names, numpy loaded only for
+Monte-Carlo, and the `python -m sumrank.cli` entry point."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -37,8 +39,31 @@ assert "numpy" in sys.modules
 """
 
 
-def test_numpy_loads_only_for_montecarlo():
+def _python(*args):
+    """Run the interpreter with the package's source directory on its path."""
     src = str(Path(sumrank.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_numpy_loads_only_for_montecarlo():
+    proc = _python("-c", NUMPY_PROBE)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_module_entry_point_exits_with_run_status():
+    from sumrank.cli import run
+
+    argv = ["bounds", "--q", "2", "--m", "2", "--eta", "2", "--ell", "2", "--d", "3"]
+    proc = _python("-m", "sumrank.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(argv) == 0
+    assert proc.stdout == out.getvalue()
+    proc = _python("-m", "sumrank.cli", *argv[:-1], "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert errors == ["sumrank: error: d=0 outside [1, 4]"]
