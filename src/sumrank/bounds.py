@@ -3,7 +3,10 @@
 The exact SP/GV decisions compare big integers (no floating point); the
 simplified variants replace the ball volume by its gamma_q bounds and work in
 log_q domain; the asymptotic forms are closed-form rate functions of the
-relative distance delta = d/n.
+relative distance delta = d/n, taken in one of two regimes named as by the
+CLI's --asym-mode: "blocks" (many blocks, ell -> infinity; the GV bound,
+which has no such limit, gives its finite-n form) or "xi" (growing block,
+m = eta*xi -> infinity with xi = m/eta).
 
 Every max-k solver returns a k that satisfies the defining inequality while
 k+1 does not.  The exact SP/GV solvers get it in closed form, from the
@@ -176,45 +179,24 @@ def sp_simplified_max_k(params: CodeParams, d: int) -> int:
     return _largest_k(_sp_simplified_pred(params, d), params.n)
 
 
-def sp_asymptotic_rate(
-    delta: float,
-    mode: str = "finite",
-    params: CodeParams | None = None,
-    xi: float | None = None,
-) -> float:
-    """Rate upper bound R(delta) from the simplified sphere-packing bound.
-
-    mode="finite"  full finite-n form (requires params),
-    mode="xi"      limit m = eta*xi -> infinity (requires xi),
-    mode="blocks"  limit ell -> infinity at fixed q, m, eta (requires params).
-    """
+def sp_asymptotic_rate(delta: float, params: CodeParams, asym_mode: str) -> float:
+    """Rate upper bound R(delta) from the simplified sphere-packing bound, in
+    the limit asym_mode names: "xi" the growing block m = eta*xi -> infinity
+    with xi = m/eta, "blocks" many blocks, ell -> infinity at fixed q, m, eta."""
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    if mode == "xi":
-        if xi is None or xi <= 0:
-            raise ValueError("mode 'xi' needs xi > 0")
-        return delta**2 / (4 * xi) - (delta / 2) * (1 + 1 / xi) + 1
-    if params is None:
-        raise ValueError(f"mode {mode!r} needs params")
     m, eta = params.m, params.eta
-    lg = log_gamma_q(params.q)
-    if mode == "blocks":
+    if asym_mode == "xi":
+        xi = m / eta
+        return delta**2 / (4 * xi) - (delta / 2) * (1 + 1 / xi) + 1
+    if asym_mode == "blocks":
         return (
             delta**2 * eta / (4 * m)
             - (delta / 2) * (1 + eta / m)
-            + (0.25 + lg) / (eta * m)
+            + (0.25 + log_gamma_q(params.q)) / (eta * m)
             + 1
         )
-    if mode == "finite":
-        n = params.n
-        return (
-            delta**2 * eta / (4 * m)
-            - delta * (0.5 + (eta / m) * (0.5 + 1 / n))
-            + (1 + eta / m + eta / (n * m)) / n
-            + (0.25 + lg) / (eta * m)
-            + 1
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    raise ValueError(f"unknown asym_mode {asym_mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -268,32 +250,25 @@ def gv_simplified_max_k(params: CodeParams, d: int) -> int:
     return _largest_k(_gv_simplified_pred(params, d), params.n)
 
 
-def gv_asymptotic_rate(
-    delta: float,
-    mode: str = "finite",
-    params: CodeParams | None = None,
-    xi: float | None = None,
-) -> float:
+def gv_asymptotic_rate(delta: float, params: CodeParams, asym_mode: str) -> float:
     """Rate R(delta) achievable per the simplified GV bound.
 
-    mode="finite" evaluates the full finite-n expression including the
-    sum_{i < delta n} log_q(1 + (ell-1)/i) term (requires params and
-    delta*n >= 2); mode="xi" is the m = eta*xi -> infinity limit.
+    asym_mode "xi" is the growing-block limit m = eta*xi -> infinity with
+    xi = m/eta.  The bound has no many-blocks limit, so "blocks" evaluates
+    the finite-n expression, including the sum_{i < delta n} log_q(1 +
+    (ell-1)/i) term; it needs delta*n >= 2.
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    if mode == "xi":
-        if xi is None or xi <= 0:
-            raise ValueError("mode 'xi' needs xi > 0")
-        return delta**2 / xi - delta * (1 + 1 / xi) + 1
-    if mode != "finite":
-        raise ValueError(f"unknown mode {mode!r}")
-    if params is None:
-        raise ValueError("mode 'finite' needs params")
     m, eta, n, ell, q = params.m, params.eta, params.n, params.ell, params.q
+    if asym_mode == "xi":
+        xi = m / eta
+        return delta**2 / xi - delta * (1 + 1 / xi) + 1
+    if asym_mode != "blocks":
+        raise ValueError(f"unknown asym_mode {asym_mode!r}")
     dn = delta * n
     if dn < 2:
-        raise ValueError(f"finite mode needs delta*n >= 2, got {dn}")
+        raise ValueError(f"asym_mode 'blocks' needs delta*n >= 2, got {dn}")
     lnq = math.log(q)
     log_sum = sum(
         math.log1p((ell - 1) / i) for i in range(1, math.ceil(dn))

@@ -155,26 +155,22 @@ _CURVE_HEADER = [
 
 def curve_rows(params: CodeParams, grid: int, asym_mode: str) -> list[list]:
     """The rows of the curve-sp-gv table (columns as in its CSV header), one
-    per delta = j/grid, j = 1..grid.  asym_mode "xi" takes the growing-block
+    per delta = j/grid, j = 1..grid.  asym_mode, "blocks" or "xi", is passed
+    to sp_asymptotic_rate and gv_asymptotic_rate: "xi" takes the growing-block
     limits (xi = m/eta), "blocks" the many-blocks SP limit and the finite-n
     GV form; "" marks a cell outside its bound's domain."""
     n = params.n
     top = params.max_weight
-    xi = params.m / params.eta
     rows = []
     for j in range(1, grid + 1):
         delta = j / grid
         d = min(max(_round_half_up(delta * n), 1), top)
-        if asym_mode == "xi":
-            raw_sp_a = sp_asymptotic_rate(delta, "xi", xi=xi)
-            raw_gv_a = gv_asymptotic_rate(delta, "xi", xi=xi)
-        else:
-            raw_sp_a = sp_asymptotic_rate(delta, "blocks", params=params)
-            raw_gv_a = (
-                gv_asymptotic_rate(delta, "finite", params=params)
-                if delta * n >= 2
-                else ""
-            )
+        raw_sp_a = sp_asymptotic_rate(delta, params, asym_mode)
+        raw_gv_a = (
+            gv_asymptotic_rate(delta, params, asym_mode)
+            if asym_mode == "xi" or delta * n >= 2
+            else ""
+        )
         singleton, sp, sp_s, gv, gv_s = (k / n if k != "" else "" for k in _max_ks(params, d))
         rows.append([
             delta, d,
@@ -356,7 +352,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     """Parse argv, run the subcommand, write its table; returns the exit code.
 
-    Exit codes: 0 success, 2 usage error (via argparse), 1 output I/O failure.
+    Exit codes: 0 success, 2 usage error (via argparse), 1 output I/O
+    failure, whether writing --out or stdout.
     A ValueError or ResourceLimitError of the library is a usage error.
     Lifts CPython's limit on int-to-str digits: the volume table prints balls
     up to q^(mn), which can exceed 4,300 decimal digits.
@@ -374,15 +371,16 @@ def run(argv=None) -> int:
     except (ValueError, ResourceLimitError) as exc:
         parser.error(str(exc))
     text = _render(header, rows, args.format)
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

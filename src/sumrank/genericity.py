@@ -209,23 +209,29 @@ def min_extension_degree(
     return hi
 
 
+def _gv_attainment_rate(params: CodeParams, d: int) -> float:
+    """1 - log_q(ball(d-1)) / (m n), from which both GV-attainment results
+    subtract 1/n or epsilon."""
+    params.check_weight(d, low=1, name="d")
+    logq_ball = logq_int(volume_table(params).ball(d - 1), params.q)
+    return 1 - logq_ball / (params.m * params.n)
+
+
 def gv_attainment_epsilon_max(params: CodeParams, d: int) -> float:
     """Right endpoint of the admissible interval for epsilon:
     1 - log_q(ball(d-1)) / (m n) - 1/n."""
-    params.check_weight(d, low=1, name="d")
-    logq_ball = logq_int(volume_table(params).ball(d - 1), params.q)
-    return 1 - logq_ball / (params.m * params.n) - 1 / params.n
+    return _gv_attainment_rate(params, d) - 1 / params.n
 
 
 def gv_attainment_dimension(params: CodeParams, d: int, epsilon: float) -> int:
     """Dimension k = floor(n (1 - log_q(ball(d-1))/(m n) - epsilon)) for which
     random [n, k] codes have minimum distance >= d with probability
     1 - exp(-Omega(m n)); epsilon must lie in (0, gv_attainment_epsilon_max]."""
-    eps_max = gv_attainment_epsilon_max(params, d)
+    rate = _gv_attainment_rate(params, d)
+    eps_max = rate - 1 / params.n
     if not 0 < epsilon <= eps_max:
         raise ValueError(f"epsilon={epsilon} outside (0, {eps_max}]")
-    logq_ball = logq_int(volume_table(params).ball(d - 1), params.q)
-    k = math.floor(params.n * (1 - logq_ball / (params.m * params.n) - epsilon))
+    k = math.floor(params.n * (rate - epsilon))
     # epsilon <= eps_max makes the exact k at least n * (1/n) = 1; float
     # rounding can put the product just below 1 at epsilon = eps_max.
     return max(k, 1)

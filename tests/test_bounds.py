@@ -285,53 +285,44 @@ def test_rank_metric_ball_specialization():
             assert ball_volume(p, t) == sum(nm_count(eta, m, s, q) for s in range(t + 1))
 
 
+# xi = m/eta is 1, 2 and 1/2
+XI_ONE = CodeParams(q=2, m=8, eta=8, ell=4)
+XI_TWO = CodeParams(q=2, m=4, eta=2, ell=3)
+XI_HALF = CodeParams(q=2, m=2, eta=4, ell=3)
+
+
 def test_sp_asymptotic_limits():
-    assert sp_asymptotic_rate(0.0, "xi", xi=1.0) == pytest.approx(1.0)
-    assert sp_asymptotic_rate(1.0, "xi", xi=1.0) == pytest.approx(0.25)
+    assert sp_asymptotic_rate(0.0, XI_ONE, "xi") == pytest.approx(1.0)
+    assert sp_asymptotic_rate(1.0, XI_ONE, "xi") == pytest.approx(0.25)
+    assert sp_asymptotic_rate(1.0, XI_TWO, "xi") == 0.375
+    assert sp_asymptotic_rate(1.0, XI_HALF, "xi") == 0.0
     p = CodeParams(q=2, m=16, eta=8, ell=256)
-    assert sp_asymptotic_rate(0.0, "finite", params=p) > 1.0  # 1 + O(1/n) terms
-    assert sp_asymptotic_rate(0.0, "blocks", params=p) == pytest.approx(
+    assert sp_asymptotic_rate(0.0, p, "blocks") == pytest.approx(
         1 + (0.25 + math.log2(3.4627466)) / (8 * 16), abs=1e-4
     )
-    # finite-n form converges to the many-blocks limit
-    diff = abs(
-        sp_asymptotic_rate(0.5, "finite", params=p)
-        - sp_asymptotic_rate(0.5, "blocks", params=p)
-    )
-    assert diff < 0.01
     with pytest.raises(ValueError):
-        sp_asymptotic_rate(-0.1, "xi", xi=1.0)
+        sp_asymptotic_rate(-0.1, XI_ONE, "xi")
     with pytest.raises(ValueError):
-        sp_asymptotic_rate(0.5, "xi", xi=0.0)
-    with pytest.raises(ValueError):
-        sp_asymptotic_rate(0.5, "nope", xi=1.0)
-    with pytest.raises(ValueError):
-        sp_asymptotic_rate(0.5, "finite")
-    with pytest.raises(ValueError):
-        sp_asymptotic_rate(0.5, "nope", params=p)
+        sp_asymptotic_rate(0.5, p, "nope")
 
 
 def test_gv_asymptotic_limits():
-    assert gv_asymptotic_rate(0.0, "xi", xi=1.0) == pytest.approx(1.0)
-    assert gv_asymptotic_rate(1.0, "xi", xi=1.0) == pytest.approx(0.0)
+    assert gv_asymptotic_rate(0.0, XI_ONE, "xi") == pytest.approx(1.0)
+    assert gv_asymptotic_rate(1.0, XI_ONE, "xi") == pytest.approx(0.0)
+    assert gv_asymptotic_rate(0.5, XI_TWO, "xi") == 0.375
+    assert gv_asymptotic_rate(0.5, XI_HALF, "xi") == 0.0
+    # the finite-n form that "blocks" gives is near the xi = 1 limit, not on it
     p = CodeParams(q=16, m=32, eta=32, ell=32)
-    diff = abs(
-        gv_asymptotic_rate(0.3, "finite", params=p) - gv_asymptotic_rate(0.3, "xi", xi=1.0)
-    )
-    assert diff < 0.01
+    diff = abs(gv_asymptotic_rate(0.3, p, "blocks") - gv_asymptotic_rate(0.3, p, "xi"))
+    assert 0 < diff < 0.01
     with pytest.raises(ValueError):
-        gv_asymptotic_rate(0.5, "finite", params=CodeParams(q=2, m=1, eta=1, ell=2))
+        gv_asymptotic_rate(0.5, CodeParams(q=2, m=1, eta=1, ell=2), "blocks")  # delta*n < 2
     with pytest.raises(ValueError):
-        gv_asymptotic_rate(-0.5, "xi", xi=1.0)
+        gv_asymptotic_rate(-0.5, XI_ONE, "xi")
     with pytest.raises(ValueError):
-        gv_asymptotic_rate(0.5, "bogus", xi=1.0)
-    for xi in (None, 0.0, -1.0):
-        with pytest.raises(ValueError):
-            gv_asymptotic_rate(0.5, "xi", xi=xi)
-    with pytest.raises(ValueError):
-        gv_asymptotic_rate(0.5, "finite")  # no params
+        gv_asymptotic_rate(0.5, XI_ONE, "bogus")
 
 
 def test_asymptotics_at_zero_distance_equal_one():
-    assert sp_asymptotic_rate(0.0, "xi", xi=2.0) == pytest.approx(1.0)
-    assert gv_asymptotic_rate(0.0, "xi", xi=2.0) == pytest.approx(1.0)
+    assert sp_asymptotic_rate(0.0, XI_TWO, "xi") == pytest.approx(1.0)
+    assert gv_asymptotic_rate(0.0, XI_TWO, "xi") == pytest.approx(1.0)

@@ -1,6 +1,8 @@
 import csv
+import errno
 import json
 import io
+import sys
 import time
 
 import pytest
@@ -209,6 +211,18 @@ def test_out_unwritable_returns_1(tmp_path, capsys):
     path = tmp_path / "nope" / "x.csv"
     assert run(["volume", *P, "--out", str(path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_stdout_unwritable_returns_1(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    assert run(["bounds", *P, "--d", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: cannot write stdout: [Errno {errno.ENOSPC}] No space left on device"]
 
 
 def test_usage_errors_exit_2(capsys):

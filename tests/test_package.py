@@ -1,12 +1,16 @@
 """The package surface: one list of public names, numpy loaded only for
-Monte-Carlo, and the `python -m sumrank.cli` entry point."""
+Monte-Carlo, the `python -m sumrank.cli` entry point and the README's Python
+quick start."""
 
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import sumrank
 from sumrank import bounds, codes, combinatorics, fields, genericity, volumes
@@ -39,11 +43,11 @@ assert "numpy" in sys.modules
 """
 
 
-def _python(*args):
+def _python(*args, stdout=subprocess.PIPE):
     """Run the interpreter with the package's source directory on its path."""
     src = str(Path(sumrank.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
 
 
 def test_numpy_loads_only_for_montecarlo():
@@ -67,3 +71,21 @@ def test_module_entry_point_exits_with_run_status():
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
     assert errors == ["sumrank: error: d=0 outside [1, 4]"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_1_with_one_error_line():
+    argv = ["bounds", "--q", "2", "--m", "2", "--eta", "2", "--ell", "2", "--d", "3"]
+    with open("/dev/full", "w") as full:
+        proc = _python("-m", "sumrank.cli", *argv, stdout=full)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: cannot write stdout: [Errno 28] No space left on device"]
+
+
+def test_readme_python_quick_start_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    proc = _python("-c", blocks[0])
+    assert proc.returncode == 0, proc.stderr
